@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .board import Player, new_board
 from .engine import GameTrace
@@ -150,28 +151,20 @@ class PotentialAudit:
     avg_b: dict[int, Fraction] = field(default_factory=dict)
 
 
-def _take_snapshots(trace: GameTrace, s: int
-                    ) -> tuple[dict[int, DegreeSnapshot], dict[int, DegreeSnapshot]]:
+def _replay(trace: GameTrace):
+    """Yield each move with the board as it stands just before its claim.
+
+    The claim lands when the next move is requested, so a consumer that
+    stops early holds the position after the last move it let through.
+    """
     board = new_board(trace.params.n)
-    snap_b: dict[int, DegreeSnapshot] = {}
-    snap_m: dict[int, DegreeSnapshot] = {}
-
-    def shot() -> DegreeSnapshot:
-        return DegreeSnapshot(tuple(board.dM), tuple(board.dB))
-
     for mv in trace.moves:
-        if mv.round > s:
-            break
-        if mv.round not in snap_b:
-            snap_b[mv.round] = shot()
-        if mv.player is Player.MAKER and mv.round not in snap_m:
-            snap_m[mv.round] = shot()
+        yield mv, board
         board.claim(mv.player, mv.edge)
-    if s in snap_b and s not in snap_m:
-        # Round s ended during Breaker's claims; the final position doubles
-        # as the "before Maker" instant since Maker never got to move.
-        snap_m[s] = shot()
-    return snap_b, snap_m
+
+
+def _shot(board) -> DegreeSnapshot:
+    return DegreeSnapshot(tuple(board.dM), tuple(board.dB))
 
 
 def reconstruct_multisets(trace: GameTrace, s: int, vS: int,
@@ -184,6 +177,9 @@ def reconstruct_multisets(trace: GameTrace, s: int, vS: int,
     per-claim targets for every Maker move of rounds 1..s-1 (the min-degree
     strategy records them; a fallback claim or a different strategy leaves
     them as None and the trace cannot be audited).
+
+    One forward replay through round s collects the degree snapshots, the
+    Maker targets and the round of every Breaker edge.
     """
     params = trace.params
     if not (1 <= s <= trace.rounds_played()):
@@ -197,7 +193,25 @@ def reconstruct_multisets(trace: GameTrace, s: int, vS: int,
     if r < 1:
         raise InvalidParams(f"split parameter must be >= 1, got {r}")
 
-    snap_b, snap_m = _take_snapshots(trace, s)
+    snap_b: dict[int, DegreeSnapshot] = {}
+    snap_m: dict[int, DegreeSnapshot] = {}
+    targets: dict[int, list[int | None]] = {}
+    breaker_edges: list[tuple[int, int, int]] = []
+    for mv, board in _replay(trace):
+        if mv.round > s:
+            break
+        if mv.round not in snap_b:
+            snap_b[mv.round] = _shot(board)
+        if mv.player is Player.MAKER:
+            if mv.round not in snap_m:
+                snap_m[mv.round] = _shot(board)
+            targets.setdefault(mv.round, []).append(mv.target)
+        else:
+            breaker_edges.append((mv.round, *mv.edge))
+    if s not in snap_m:
+        # Round s ended during Breaker's claims; the final position doubles
+        # as the "before Maker" instant since Maker never got to move.
+        snap_m[s] = _shot(board)
     if snap_b[s].dM[vS] > k - 1:
         raise InvalidParams(
             f"vertex {vS} already has Maker degree {snap_b[s].dM[vS]} in "
@@ -205,47 +219,53 @@ def reconstruct_multisets(trace: GameTrace, s: int, vS: int,
 
     audit = PotentialAudit(trace=trace, s=s, vS=vS, r=r, k=k,
                            snap_b=snap_b, snap_m=snap_m)
-    targets = trace.maker_targets()
     audit.multisets[s] = (vS,)
-    pool: list[int] = [vS]
-    for i in range(1, s):
-        j = s - i
+    pool = {vS}
+    for j in range(s - 1, 0, -1):
         round_targets = targets.get(j, [])
         if len(round_targets) < params.a or any(t is None for t in round_targets):
             raise TraceIncompatible(
                 f"round {j} lacks recorded targets; audit needs the "
                 f"min-degree strategy's target log")
-        pool = list(round_targets) + pool
+        pool.update(round_targets)
         before_maker = snap_m[j].dM
         audit.multisets[j] = tuple(sorted(
-            {v for v in pool if before_maker[v] <= k - 1}))
-    for j in range(1, s + 1):
-        audit.g_values[j] = compute_g(audit, j)
+            v for v in pool if before_maker[v] <= k - 1))
+    audit.g_values = compute_g(audit, breaker_edges)
     for i in range(0, s):
         audit.avg_b[i] = avg_danger(audit, i, "B")
         audit.avg_m[i] = avg_danger(audit, i, "M")
     return audit
 
 
-def compute_g(audit: PotentialAudit, round_label: int) -> int:
-    """Breaker edges inside the multiset's support, claimed before the round.
+def compute_g(audit: PotentialAudit,
+              breaker_edges: list[tuple[int, int, int]]) -> dict[int, int]:
+    """g for every round label: the Breaker edges claimed strictly before
+    Breaker's move of round j with both endpoints in the support of the
+    multiset with label j.  ``breaker_edges`` holds (round, u, w).
 
-    Counts distinct Breaker edges claimed strictly before Breaker's move of
-    round ``round_label`` whose endpoints both lie in the support of the
-    multiset with that label.
+    Supports only gain vertices as the label falls, so v lies in the support
+    of label j exactly when j <= join(v), the largest label holding v, and
+    an edge of round rnd counts for labels rnd+1 .. min(join(u), join(w)):
+    one difference array and its prefix sums give every count.
     """
-    if round_label not in audit.multisets:
-        raise InvalidParams(f"no multiset with round label {round_label}")
-    support = set(audit.multisets[round_label])
-    count = 0
-    for mv in audit.trace.moves:
-        if mv.round >= round_label:
-            break
-        if mv.player is Player.BREAKER:
-            u, v = mv.edge
-            if u in support and v in support:
-                count += 1
-    return count
+    s = audit.s
+    join: dict[int, int] = {}
+    for j in range(s, 0, -1):
+        support = audit.multisets[j]
+        for v in support:
+            join.setdefault(v, j)
+        if len(join) != len(support):
+            raise InvalidParams(
+                f"multiset {j} does not contain multiset {j + 1}; "
+                f"g cannot be counted")
+    diff = [0] * (s + 2)
+    for rnd, u, w in breaker_edges:
+        last = min(join.get(u, 0), join.get(w, 0))
+        if rnd < last:
+            diff[rnd + 1] += 1
+            diff[last + 1] -= 1
+    return dict(zip(range(1, s + 1), accumulate(diff[1:s + 1])))
 
 
 def avg_danger(audit: PotentialAudit, i: int, side: str) -> Fraction:
@@ -370,20 +390,17 @@ def check_potential_lemmas(audit: PotentialAudit) -> AuditReport:
 def canonical_audit_point(trace: GameTrace) -> tuple[int, int] | None:
     """First (round, vertex) where Breaker forecloses the degree goal.
 
-    A vertex is foreclosed once dB(v) > n - 1 - k: even claiming every
-    remaining edge at v would leave Maker under degree k.  Returns None if
-    the trace never forecloses anything (Maker won or the game was cut
-    short).
+    A vertex is foreclosed once dB(v) exceeds ``params.foreclosure_limit()``:
+    even claiming every remaining edge at v would leave Maker under degree
+    k.  Returns None if the trace never forecloses anything (Maker won or
+    the game was cut short).
     """
-    params = trace.params
-    k = params.threshold_degree()
-    limit = params.n - 1 - k
-    board = new_board(params.n)
-    for mv in trace.moves:
-        board.claim(mv.player, mv.edge)
+    limit = trace.params.foreclosure_limit()
+    for mv, board in _replay(trace):
         if mv.player is Player.BREAKER:
             for v in mv.edge:
-                if board.dB[v] > limit:
+                # board is the position before this claim, which adds 1 to dB(v)
+                if board.dB[v] + 1 > limit:
                     return mv.round, v
     return None
 
@@ -426,14 +443,13 @@ def degree_cap_exceptions(trace: GameTrace, delta: float
     params = trace.params
     k = params.threshold_degree()
     cap = (1.0 - delta) * params.n
-    board = new_board(params.n)
     seen: set[int] = set()
     exceptions: list[tuple[int, int, int]] = []
-    for mv in trace.moves:
-        board.claim(mv.player, mv.edge)
+    for mv, board in _replay(trace):
         if mv.player is Player.BREAKER:
             for v in mv.edge:
-                if v not in seen and board.dM[v] < k and board.dB[v] > cap:
+                degree = board.dB[v] + 1  # counting the claim being replayed
+                if v not in seen and board.dM[v] < k and degree > cap:
                     seen.add(v)
-                    exceptions.append((mv.round, v, board.dB[v]))
+                    exceptions.append((mv.round, v, degree))
     return exceptions

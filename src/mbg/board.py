@@ -93,6 +93,11 @@ class GameParams:
         """Degree below which a vertex still matters for the goal."""
         return self.k if self.goal == "min-degree" else 1
 
+    def foreclosure_limit(self) -> int:
+        """Largest Breaker degree a vertex can carry and still reach the
+        threshold degree; one more Breaker edge at it decides the game."""
+        return self.n - 1 - self.threshold_degree()
+
     def as_dict(self) -> dict:
         return {
             "n": self.n,
@@ -234,19 +239,6 @@ class Board:
     def snapshot(self) -> bytes:
         """Opaque fingerprint of the claim state (for equality checks)."""
         return bytes(self._state)
-
-    def clone(self) -> "Board":
-        other = Board.__new__(Board)
-        other.n = self.n
-        other.m = self.m
-        other._state = bytearray(self._state)
-        other._edges = self._edges
-        other.dM = list(self.dM)
-        other.dB = list(self.dB)
-        other._free = list(self._free)
-        other._free_pos = list(self._free_pos)
-        other.free_count = self.free_count
-        return other
 
 
 def new_board(n: int) -> Board:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .board import Board, Edge, GameParams, Player
-from .errors import InvalidParams, MBGError, StageBlocked, StrategyViolation
+from .errors import (InvalidParams, MBGError, StageBlocked, StrategyViolation,
+                     TraceIncompatible)
 from .oracles import (HAMILTONIAN_CAP, SimpleGraph, is_connected,
                       is_hamiltonian, min_degree)
 
@@ -62,19 +63,6 @@ class GameOutcome:
     flags: tuple[str, ...] = ()
 
 
-def detect_breaker_win_mindeg(board: Board, k: int) -> int | None:
-    """Lowest vertex that can no longer reach Maker degree k, if any.
-
-    A vertex is dead once dB(v) > n - 1 - k, i.e. its Maker degree plus its
-    free degree fall short of k.
-    """
-    limit = board.n - 1 - k
-    for v in range(board.n):
-        if board.dB[v] > limit:
-            return v
-    return None
-
-
 def detect_maker_win(board: Board, goal: str, k: int = 1) -> bool:
     """Has Maker's graph already met the goal predicate?"""
     if goal == "min-degree":
@@ -118,11 +106,12 @@ def play_game(params: GameParams, maker, breaker, seed: int,
 
     A Maker win is detected incrementally after each Maker claim; a Breaker
     win the moment some vertex can no longer reach the obstruction degree.
-    Hamiltonicity, being expensive, is only tested when the Maker strategy
-    reports it is in its endgame stage and at board exhaustion; by
-    monotonicity this never changes the verdict.  With ``early_stop=False``
-    the board is played out fully and only the final predicate decides,
-    which exists so tests can confirm the shortcuts are sound.
+    Hamiltonicity, being expensive, is only tested once a Maker claim leaves
+    Maker's graph connected with minimum degree at least 2, as every
+    Hamiltonian graph is, so the win is still seen at the claim that makes
+    it.  With ``early_stop=False`` the board is played out fully and only
+    the final predicate decides, which exists so tests can confirm the
+    shortcuts are sound.
     """
     import random
 
@@ -132,11 +121,11 @@ def play_game(params: GameParams, maker, breaker, seed: int,
     rng = random.Random(seed)
     board = Board(params.n)
     trace = GameTrace(params=params, seed=seed)
-    keff = params.threshold_degree()
+    limit = params.foreclosure_limit()
     goal = params.goal
 
     deficient = params.n  # vertices with dM < k (min-degree goal)
-    dsu = _DSU(params.n) if goal == "connectivity" else None
+    dsu = _DSU(params.n) if goal != "min-degree" else None
 
     max_rounds = math.ceil(board.m / (params.a + params.b)) + 1
     decided: GameOutcome | None = None
@@ -145,12 +134,12 @@ def play_game(params: GameParams, maker, breaker, seed: int,
     def maker_won_now() -> bool:
         if goal == "min-degree":
             return deficient == 0
+        if dsu.components > 1:
+            return False
         if goal == "connectivity":
-            return dsu.components == 1
-        stage = getattr(maker, "stage", None)
-        if stage in ("III", "done"):
-            return is_hamiltonian(SimpleGraph.from_board(board, Player.MAKER))
-        return False
+            return True
+        return (min(board.dM) >= 2
+                and is_hamiltonian(SimpleGraph.from_board(board, Player.MAKER)))
 
     while decided is None:
         round_no += 1
@@ -189,15 +178,15 @@ def play_game(params: GameParams, maker, breaker, seed: int,
                             deficient -= 1
                         if board.dM[v] == params.k:
                             deficient -= 1
-                    elif goal == "connectivity":
+                    else:
                         dsu.union(u, v)
                     if early_stop and maker_won_now():
                         decided = GameOutcome(Player.MAKER, round_no,
                                               REASON_GOAL_ACHIEVED)
                         break
                 else:
-                    if early_stop and (board.dB[u] > board.n - 1 - keff
-                                       or board.dB[v] > board.n - 1 - keff):
+                    if early_stop and (board.dB[u] > limit
+                                       or board.dB[v] > limit):
                         decided = GameOutcome(Player.BREAKER, round_no,
                                               REASON_GOAL_IMPOSSIBLE)
                         break
@@ -254,26 +243,35 @@ def trace_to_json(trace: GameTrace, outcome: GameOutcome | None = None) -> str:
 
 
 def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
-    doc = json.loads(text)
-    params = GameParams.from_dict(doc["params"])
-    trace = GameTrace(params=params, seed=doc["seed"])
-    for m in doc["moves"]:
-        trace.moves.append(MoveRecord(
-            round=m["round"],
-            step=m["step"],
-            player=Player(m["player"]),
-            edge=(m["u"], m["v"]),
-            target=m.get("target"),
-        ))
-    outcome = None
-    if "outcome" in doc:
-        o = doc["outcome"]
-        outcome = GameOutcome(
-            winner=Player(o["winner"]),
-            decisive_round=o["decisiveRound"],
-            reason=o["reason"],
-            flags=tuple(o.get("flags", ())),
-        )
+    """Parse a trace written by ``trace_to_json``.
+
+    Raises TraceIncompatible when the text is not JSON or a key is missing
+    or holds a value of the wrong type.
+    """
+    try:
+        doc = json.loads(text)
+        params = GameParams.from_dict(doc["params"])
+        trace = GameTrace(params=params, seed=doc["seed"])
+        for m in doc["moves"]:
+            trace.moves.append(MoveRecord(
+                round=m["round"],
+                step=m["step"],
+                player=Player(m["player"]),
+                edge=(m["u"], m["v"]),
+                target=m.get("target"),
+            ))
+        outcome = None
+        if "outcome" in doc:
+            o = doc["outcome"]
+            outcome = GameOutcome(
+                winner=Player(o["winner"]),
+                decisive_round=o["decisiveRound"],
+                reason=o["reason"],
+                flags=tuple(o.get("flags", ())),
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceIncompatible(
+            f"malformed trace: {type(exc).__name__}: {exc}") from exc
     return trace, outcome
 
 

@@ -22,8 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .audit import (audit_game, canonical_audit_point, check_potential_lemmas,
-                    reconstruct_multisets)
+from .audit import audit_game, check_potential_lemmas, reconstruct_multisets
 from .board import GOALS, GameParams, Player, normalize_goal, parse_edge_list
 from .boxgame import (SOLVER_MAX_BALLS, SOLVER_MAX_BOXES, BoxInstance,
                       BoxPlayer, f_box, f_lower_bound, boxmaker_sufficient,
@@ -88,6 +87,7 @@ class CellResult:
     trials: int
     maker_wins: int = 0
     infeasible: int = 0
+    fallback: int = 0
     total_rounds: int = 0
     total_maker_claims: int = 0
 
@@ -117,7 +117,8 @@ class SweepResult:
     reference_curve: float = 0.0
 
 
-def _run_trial(task: tuple) -> tuple[bool, int, int, bool]:
+def _run_trial(task: tuple) -> tuple[bool, int, int, bool, bool]:
+    """(Maker won, rounds, Maker claims, infeasible, fell back) of one game."""
     n, a, b, k, goal, maker_name, breaker_name, seed = task
     params = GameParams(n=n, a=a, b=b, k=k, goal=goal)
     try:
@@ -125,9 +126,10 @@ def _run_trial(task: tuple) -> tuple[bool, int, int, bool]:
         breaker = make_breaker(breaker_name, params)
         outcome, trace = play_game(params, maker, breaker, seed=seed)
     except StrategyInfeasible:
-        return False, 0, 0, True
+        return False, 0, 0, True, False
     won = outcome.winner is Player.MAKER
-    return won, trace.rounds_played(), trace.maker_claims(), False
+    return (won, trace.rounds_played(), trace.maker_claims(), False,
+            bool(outcome.flags))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -145,12 +147,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         results = [_run_trial(t) for t in tasks]
 
     cells = [CellResult(b=b, trials=spec.trials) for b in spec.b_values]
-    for index, (won, rounds, claims, infeasible) in enumerate(results):
+    for index, (won, rounds, claims, infeasible, fallback) in enumerate(results):
         cell = cells[index // spec.trials]
         if infeasible:
             cell.infeasible += 1
         else:
             cell.maker_wins += int(won)
+            cell.fallback += int(fallback)
             cell.total_rounds += rounds
             cell.total_maker_claims += claims
     result = SweepResult(spec=spec, cells=cells,
@@ -181,17 +184,21 @@ def _estimate_threshold(cells: list[CellResult]
 
 
 def write_sweep_csv(result: SweepResult, path: str) -> None:
-    """CSV with one row per bias; a timestamp comment precedes the header."""
+    """CSV with one row per bias; a timestamp comment precedes the header.
+
+    ``fallback`` counts decided games in which a strategy abandoned its plan
+    (the game's outcome carries a flag).
+    """
     spec = result.spec
     lines = [f"# generated {datetime.now(timezone.utc).isoformat()}"]
     lines.append("n,a,b,k,goal,maker,breaker,trials,maker_wins,win_rate,"
-                 "mean_rounds,mean_maker_claims,infeasible")
+                 "mean_rounds,mean_maker_claims,infeasible,fallback")
     for cell in result.cells:
         lines.append(
             f"{spec.n},{spec.a},{cell.b},{spec.k},{spec.goal},{spec.maker},"
             f"{spec.breaker},{cell.trials},{cell.maker_wins},"
             f"{cell.win_rate:.6f},{cell.mean_rounds:.4f},"
-            f"{cell.mean_maker_claims:.4f},{cell.infeasible}")
+            f"{cell.mean_maker_claims:.4f},{cell.infeasible},{cell.fallback}")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -278,7 +285,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     result = run_sweep(spec)
     for cell in result.cells:
         print(f"b={cell.b} win_rate={cell.win_rate:.6f} "
-              f"infeasible={cell.infeasible}")
+              f"infeasible={cell.infeasible} fallback={cell.fallback}")
     est = result.estimated_threshold
     interp = result.interpolated_threshold
     print(f"estimated_threshold={est if est is not None else 'none'} "
@@ -366,12 +373,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                           r=args.r)
             report = check_potential_lemmas(audit)
         else:
-            point = canonical_audit_point(trace)
-            if point is None:
+            audited = audit_game(trace, r=args.r)
+            if audited is None:
                 print("no foreclosure point in trace; nothing to audit")
                 return 0
-            audit = reconstruct_multisets(trace, *point, r=args.r)
-            report = check_potential_lemmas(audit)
+            _, report = audited
         print(report.as_text())
         return 0 if report.passed else 1
 

@@ -11,7 +11,6 @@ stages (raise all degrees, connect the components, then claim boosters).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,20 +23,12 @@ from .oracles import (SimpleGraph, boosters, connected_components,
 # small boards can exercise the later stages.
 DEGREE_TARGET = 16
 
-# Largest admissible expander-parameter density; used when no delta is given.
-_DELTA_DEFAULT = 4.0 / (math.e**7 * 1e4)
-
 
 def danger(board: Board, v: int, a: int, b: int) -> Fraction:
     """D(v) = dB(v) - (2b/a) * dM(v), exact."""
     if not (0 <= v < board.n):
         raise InvalidParams(f"vertex {v} out of range")
     return Fraction(a * board.dB[v] - 2 * b * board.dM[v], a)
-
-
-def _scaled_danger(board: Board, v: int, a: int, b: int) -> int:
-    # a * D(v); same order as danger() but integer-only.
-    return a * board.dB[v] - 2 * b * board.dM[v]
 
 
 class GameStrategy:
@@ -123,16 +114,10 @@ _STAGES = ("I", "II", "III", "done")
 
 @dataclass
 class HamMakerState:
-    """Stage machine of the Hamiltonicity strategy.
-
-    ``k0`` is the expansion parameter the analysis attributes to the stage-I
-    graph, floor(delta^5 * n) clamped to at least 1 so desk-scale boards get
-    a meaningful value; it is recorded for auditing, not used to pick moves.
-    """
+    """Stage machine of the Hamiltonicity strategy."""
 
     n: int
     degree_target: int = DEGREE_TARGET
-    k0: int = 1
     stage: str = "I"
     claims_in_stage: dict[str, int] = field(
         default_factory=lambda: {s: 0 for s in _STAGES})
@@ -250,13 +235,7 @@ class Ham3StageMaker(GameStrategy):
         if degree_target < 1:
             raise InvalidParams(f"degree target must be >= 1, got {degree_target}")
         self.params = params
-        delta = params.delta if params.delta is not None else _DELTA_DEFAULT
-        k0 = max(1, math.floor(delta**5 * params.n))
-        self.state = HamMakerState(n=params.n, degree_target=degree_target, k0=k0)
-
-    @property
-    def stage(self) -> str:
-        return self.state.stage
+        self.state = HamMakerState(n=params.n, degree_target=degree_target)
 
     def step(self, board: Board, rng) -> tuple[Edge, int | None]:
         state = self.state

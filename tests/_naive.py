@@ -6,6 +6,8 @@ exhaustive subset enumeration, dict-of-sets adjacency.  Keep inputs tiny.
 
 from itertools import combinations
 
+from mbg.board import Player
+
 
 def adjacency(n, edges):
     adj = {v: set() for v in range(n)}
@@ -108,3 +110,18 @@ def random_graph_edges(rng, n, p):
     """Erdos-Renyi style edge list on n vertices with edge probability p."""
     return [(u, v) for u in range(n) for v in range(u + 1, n)
             if rng.random() < p]
+
+
+def compute_g(audit, round_label):
+    """g for one round label by rescanning the trace: Breaker edges claimed
+    before that round with both endpoints in the label's pool."""
+    support = set(audit.multisets[round_label])
+    count = 0
+    for mv in audit.trace.moves:
+        if mv.round >= round_label:
+            break
+        if mv.player is Player.BREAKER:
+            u, v = mv.edge
+            if u in support and v in support:
+                count += 1
+    return count

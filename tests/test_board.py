@@ -116,15 +116,6 @@ class TestBoard:
         assert board.edges_of(Player.MAKER) == [(0, 3), (1, 2), (2, 4)]
         assert board.edges_of(Player.BREAKER) == [(0, 4)]
 
-    def test_clone_is_independent(self):
-        board = Board(5)
-        board.claim(Player.MAKER, (0, 1))
-        twin = board.clone()
-        twin.claim(Player.BREAKER, (0, 2))
-        assert board.is_free((0, 2))
-        assert not twin.is_free((0, 2))
-        assert board.free_count == twin.free_count + 1
-
     def test_exhaustion_bookkeeping(self):
         board = Board(3)
         board.claim(Player.MAKER, (0, 1))

@@ -1,12 +1,13 @@
 import pytest
 
+import _naive
 from mbg.board import Board, GameParams, Player
 from mbg.engine import (GameOutcome, GameTrace, MoveRecord,
                         REASON_BOARD_EXHAUSTED, REASON_GOAL_ACHIEVED,
-                        REASON_GOAL_IMPOSSIBLE, detect_breaker_win_mindeg,
-                        detect_maker_win, play_game, replay_trace,
-                        trace_from_json, trace_to_json)
-from mbg.errors import InvalidParams, StrategyViolation
+                        REASON_GOAL_IMPOSSIBLE, detect_maker_win, play_game,
+                        replay_trace, trace_from_json, trace_to_json)
+from mbg.errors import InvalidParams, StrategyViolation, TraceIncompatible
+from mbg.harness import trial_seed
 from mbg.maker_strategies import make_maker
 from mbg.breaker_strategies import make_breaker
 
@@ -21,12 +22,16 @@ def run(n=12, a=1, b=2, k=1, goal="min-degree", maker="min-deg",
 class TestDetection:
     def test_breaker_win_detector_flags_the_dead_vertex(self):
         board = Board(5)
+        k1, k2 = GameParams(n=5, k=1), GameParams(n=5, k=2)
+        assert k1.foreclosure_limit() == 3 and k2.foreclosure_limit() == 2
         for w in (1, 2, 3):
             board.claim(Player.BREAKER, (0, w))
-        assert detect_breaker_win_mindeg(board, k=1) is None
+        assert not board.dB[0] > k1.foreclosure_limit()
+        assert board.dB[0] > k2.foreclosure_limit()
         board.claim(Player.BREAKER, (0, 4))
-        assert detect_breaker_win_mindeg(board, k=1) == 0
-        assert detect_breaker_win_mindeg(board, k=2) == 0
+        assert board.dB[0] > k1.foreclosure_limit()
+        # the other goals foreclose at an isolated vertex, like k = 1
+        assert GameParams(n=5, k=2, goal="connectivity").foreclosure_limit() == 3
 
     def test_maker_win_predicates(self):
         board = Board(4)
@@ -93,6 +98,22 @@ class TestPlayGame:
         with pytest.raises(StrategyViolation):
             play_game(params, Cheat(), Cheat(), seed=0)
 
+    @pytest.mark.parametrize("index", [7, 20])
+    def test_hamiltonicity_is_seen_before_stage_three(self, index):
+        # In these games Maker's graph turns Hamiltonian while the strategy
+        # is still in stage I or II; the game must end at that very claim.
+        params = GameParams(n=14, a=1, b=2, goal="hamiltonicity")
+        maker = make_maker("ham-3stage", params, degree_target=2)
+        outcome, trace = play_game(params, maker, make_breaker("random", params),
+                                   seed=trial_seed(21, 0, index))
+        assert outcome.winner is Player.MAKER
+        assert outcome.reason == REASON_GOAL_ACHIEVED
+        assert maker.state.stage in ("I", "II")
+        maker_edges = [mv.edge for mv in trace.moves if mv.player is Player.MAKER]
+        assert trace.moves[-1].player is Player.MAKER
+        assert _naive.hamiltonian_cycle_exists(14, maker_edges)
+        assert not _naive.hamiltonian_cycle_exists(14, maker_edges[:-1])
+
     def test_hamiltonicity_size_guard(self):
         params = GameParams(n=30, goal="hamiltonicity")
         with pytest.raises(InvalidParams):
@@ -134,6 +155,16 @@ class TestTrace:
         back, back_outcome = trace_from_json(trace_to_json(trace))
         assert back.moves == trace.moves
         assert back_outcome is None
+
+    @pytest.mark.parametrize("text", [
+        "not json", "[]", '{"params": {"n": 5}, "seed": 0}',
+        '{"params": {"n": 5}, "seed": 0, "moves": [{"round": 1}]}',
+        '{"params": {"n": 5}, "seed": 0, "moves": [{"round": 1, "step": 1, '
+        '"player": "Nobody", "u": 0, "v": 1}]}',
+    ])
+    def test_malformed_json_is_incompatible(self, text):
+        with pytest.raises(TraceIncompatible):
+            trace_from_json(text)
 
     def test_empty_trace_counts(self):
         trace = GameTrace(params=GameParams(n=5), seed=0)

@@ -122,6 +122,13 @@ class TestRunSweep:
         assert result.cells[1].infeasible == 0
         assert result.cells[1].win_rate == 0.0  # isolation always wins here
 
+    def test_plan_fallbacks_are_counted(self):
+        # the setting of test_desk_scale_fallback_is_flagged: at n=40 the
+        # clique-box plan cannot size its boxes and every game falls back
+        result = run_sweep(self.spec(n=40, b_values=(20,), trials=2,
+                                     breaker="clique-box"))
+        assert result.cells[0].fallback == result.cells[0].trials == 2
+
     def test_csv_is_stable_apart_from_timestamp(self, tmp_path):
         paths = [tmp_path / "one.csv", tmp_path / "two.csv"]
         for path in paths:
@@ -256,6 +263,12 @@ class TestCli:
         assert main(["verify", "--trace", str(path)]) == 0
         out = capsys.readouterr().out
         assert "result=PASS" in out
+
+    def test_verify_rejects_a_trace_without_moves(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"params": {"n": 5}, "seed": 0}\n', encoding="utf-8")
+        assert main(["verify", "--trace", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_verify_random_games_mode(self, capsys):
         assert main(["verify", "--random-games", "5", "--n", "14",

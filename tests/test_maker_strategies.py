@@ -220,7 +220,6 @@ class TestHam3StageMaker:
 
     def test_default_expansion_parameter_is_floored_to_one(self):
         maker = Ham3StageMaker(GameParams(n=20, goal="hamiltonicity"))
-        assert maker.state.k0 == 1
         assert maker.state.degree_target == DEGREE_TARGET
 
 

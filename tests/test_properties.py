@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
+import _naive
 from mbg.audit import audit_game, harmonic
 from mbg.board import Board, GameParams, Player
 from mbg.boxgame import (BoxPlayState, boxmaker_balancing_move,
@@ -141,4 +142,5 @@ def test_audit_pools_nest(seed):
     labels = sorted(audit.multisets)
     for earlier, later in zip(labels, labels[1:]):
         assert set(audit.multisets[earlier]) >= set(audit.multisets[later])
+    assert audit.g_values == {j: _naive.compute_g(audit, j) for j in labels}
     assert report.passed, report.as_text()
