@@ -245,21 +245,35 @@ def trace_to_json(trace: GameTrace, outcome: GameOutcome | None = None) -> str:
 def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
     """Parse a trace written by ``trace_to_json``.
 
-    Raises TraceIncompatible when the text is not JSON or a key is missing
-    or holds a value of the wrong type.
+    Raises TraceIncompatible when the text is not JSON, a key is missing or
+    holds a value of the wrong type, a vertex is not an int, or the moves
+    leave engine order: round 1 opens with Breaker's step 1, and each later
+    move continues its player's steps up to that player's bias, passes from
+    Breaker to Maker's step 1, or opens the next round with Breaker's step 1.
     """
     try:
         doc = json.loads(text)
         params = GameParams.from_dict(doc["params"])
         trace = GameTrace(params=params, seed=doc["seed"])
+        players = {p.value: p for p in Player}
+        bias = {Player.BREAKER: params.b, Player.MAKER: params.a}
+        rnd, player, step = 0, Player.MAKER, 0
         for m in doc["moves"]:
-            trace.moves.append(MoveRecord(
-                round=m["round"],
-                step=m["step"],
-                player=Player(m["player"]),
-                edge=(m["u"], m["v"]),
-                target=m.get("target"),
-            ))
+            at = (m["round"], players.get(m["player"]), m["step"])
+            if not ((at == (rnd, player, step + 1) and step < bias[player])
+                    or at == (rnd + 1, Player.BREAKER, 1)
+                    or (at == (rnd, Player.MAKER, 1)
+                        and player is Player.BREAKER)):
+                raise TraceIncompatible(
+                    f"move {len(trace.moves)} (round {at[0]!r}, player "
+                    f"{m['player']!r}, step {at[2]!r}) is out of engine order")
+            rnd, player, step = at
+            u, v, target = m["u"], m["v"], m.get("target")
+            if (type(u) is not int or type(v) is not int
+                    or not (target is None or type(target) is int)):
+                raise TraceIncompatible(
+                    f"move {len(trace.moves)} has a non-integer vertex")
+            trace.moves.append(MoveRecord(rnd, step, player, (u, v), target))
         outcome = None
         if "outcome" in doc:
             o = doc["outcome"]

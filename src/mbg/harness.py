@@ -43,9 +43,10 @@ def trial_seed(master_seed: int, b_index: int, trial: int) -> int:
 
 
 def worker_count() -> int:
+    """Sweep worker processes: MBG_THREADS, clamped to 1..cpu_count()."""
     raw = os.environ.get("MBG_THREADS", "1")
     try:
-        return max(1, int(raw))
+        return max(1, min(int(raw), os.cpu_count() or 1))
     except ValueError:
         return 1
 

@@ -114,6 +114,61 @@ def connected_components(g: SimpleGraph) -> list[list[int]]:
     return comps
 
 
+def _path_table(adj: list[int], seeds: int, stop: int = 0) -> tuple[list[int], int]:
+    """Subset DP over simple paths that start at a vertex of ``seeds``.
+
+    Returns ``(ends, best)``: ``ends[mask]`` is the bitmask of vertices v
+    such that some such path covers exactly ``mask`` and ends at v, and
+    ``best`` is the most vertices on any of them.  With ``stop`` the DP
+    returns as soon as a path of ``stop`` vertices exists, and ``ends`` is
+    then partial.
+    """
+    n = len(adj)
+    ends = [0] * (1 << n)
+    for v in _bits(seeds):
+        ends[1 << v] = 1 << v
+    best = 1
+    # A path only reaches larger masks, so each mask is complete when read;
+    # paths from vertex 0 alone only cover odd masks.
+    for mask in range(1, 1 << n, 2 if seeds == 1 else 1):
+        tips = ends[mask]
+        if not tips:
+            continue
+        order = mask.bit_count() + 1
+        rest = ~mask
+        while tips:
+            low = tips & -tips
+            tips ^= low
+            ext = adj[low.bit_length() - 1] & rest
+            if order > best and ext:
+                best = order
+                if best == stop:
+                    return ends, best
+            while ext:
+                wlow = ext & -ext
+                ext ^= wlow
+                ends[mask | wlow] |= wlow
+    return ends, best
+
+
+def _joined_pairs(ends: list[int], shared: int) -> list[int]:
+    """``pairs[u]``: the v with u in ends[S] and v in ends[(V - S) | shared].
+
+    Two paths that meet only in ``shared`` and together cover every vertex
+    join their endpoints u and v into one spanning path (``shared`` = 0)
+    or, through the common start vertex 0, into one Hamilton path.
+    """
+    full = len(ends) - 1
+    pairs = [0] * full.bit_length()
+    for mask, tips in enumerate(ends):
+        if tips:
+            other = ends[(full ^ mask) | shared]
+            if other:
+                for u in _bits(tips):
+                    pairs[u] |= other
+    return pairs
+
+
 def is_hamiltonian(g: SimpleGraph) -> bool:
     """Exact Hamiltonian-cycle test via subset DP over (visited set, endpoint).
 
@@ -126,28 +181,8 @@ def is_hamiltonian(g: SimpleGraph) -> bool:
         return False
     if not is_connected(g) or min_degree(g) < 2:
         return False
-    adj = g.adj
-    full = (1 << n) - 1
-    # dp[mask] = bitmask of endpoints v such that a path over exactly `mask`
-    # starts at 0 and ends at v.  Only masks containing vertex 0 are live.
-    dp = [0] * (1 << n)
-    dp[1] = 1
-    for mask in range(1, 1 << n, 2):
-        ends = dp[mask]
-        if not ends:
-            continue
-        rest = ~mask
-        while ends:
-            low = ends & -ends
-            ends ^= low
-            v = low.bit_length() - 1
-            ext = adj[v] & rest
-            while ext:
-                wlow = ext & -ext
-                ext ^= wlow
-                dp[mask | wlow] |= wlow
-    closing = dp[full] & adj[0]
-    return closing != 0
+    ends, _ = _path_table(g.adj, 1)
+    return ends[(1 << n) - 1] & g.adj[0] != 0
 
 
 def longest_path_order(g: SimpleGraph) -> int:
@@ -155,31 +190,7 @@ def longest_path_order(g: SimpleGraph) -> int:
     n = g.n
     if n > LONGEST_PATH_CAP:
         raise TooLarge(f"longest_path_order capped at n <= {LONGEST_PATH_CAP}, got {n}")
-    adj = g.adj
-    dp = [0] * (1 << n)
-    for v in range(n):
-        dp[1 << v] = 1 << v
-    best = 1
-    for mask in range(1, 1 << n):
-        ends = dp[mask]
-        if not ends:
-            continue
-        size = mask.bit_count()
-        if size > best:
-            best = size
-            if best == n:
-                break
-        rest = ~mask
-        while ends:
-            low = ends & -ends
-            ends ^= low
-            v = low.bit_length() - 1
-            ext = adj[v] & rest
-            while ext:
-                wlow = ext & -ext
-                ext ^= wlow
-                dp[mask | wlow] |= wlow
-    return best
+    return _path_table(g.adj, (1 << n) - 1, stop=n)[1]
 
 
 def external_neighborhood(g: SimpleGraph, vertices) -> set[int]:
@@ -268,19 +279,42 @@ def boosters(g: SimpleGraph) -> BoosterSet:
     A non-edge e is a booster when G+e is Hamiltonian or has a strictly
     longer longest path than G.  A Hamiltonian input has no boosters by
     convention; the flag says why the set is empty.
+
+    Three cases, each exact:
+
+    1. G has a Hamilton path but no Hamilton cycle.  Then uv is a booster
+       exactly when a Hamilton path joins u and v.  Every Hamilton path
+       passes through vertex 0, so it splits into two paths from 0, one
+       over S and one over (V - S) + 0; the vertex-0 table of
+       ``is_hamiltonian`` lists both.
+    2. The longest path has n-1 vertices.  A spanning path of G+uv is a
+       path over S ending at u, the edge uv, and a path over V - S
+       starting at v, so one all-start table lists every booster.
+    3. The longest path is shorter.  Each non-edge gets one DP on G+uv
+       that stops at the first path longer than G's; a Hamilton cycle of
+       G+uv would already be such a path.
     """
     if not is_connected(g):
         raise NotConnected("boosters are defined for connected graphs only")
-    if g.n > LONGEST_PATH_CAP:
-        raise TooLarge(f"boosters capped at n <= {LONGEST_PATH_CAP}, got {g.n}")
-    if is_hamiltonian(g):
+    n = g.n
+    if n > LONGEST_PATH_CAP:
+        raise TooLarge(f"boosters capped at n <= {LONGEST_PATH_CAP}, got {n}")
+    adj = g.adj
+    full = (1 << n) - 1
+    ends, _ = _path_table(adj, 1)
+    if n > 2 and ends[full] & adj[0]:
         return BoosterSet(frozenset(), True)
-    base = longest_path_order(g)
-    found = []
-    for u, v in g.non_edges():
-        g2 = g.with_edge(u, v)
-        if is_hamiltonian(g2) or longest_path_order(g2) > base:
-            found.append((u, v))
+    pairs = _joined_pairs(ends, 1)
+    if not any(pairs):
+        del ends  # keep one 2^n table alive at a time
+        ends, base = _path_table(adj, full, stop=n)
+        pairs = _joined_pairs(ends, 0) if base == n - 1 else None
+    del ends
+    if pairs is not None:
+        found = [(u, v) for u, v in g.non_edges() if pairs[u] >> v & 1]
+    else:
+        found = [(u, v) for u, v in g.non_edges()
+                 if _path_table(g.with_edge(u, v).adj, full, stop=base + 1)[1] > base]
     return BoosterSet(frozenset(found), False)
 
 

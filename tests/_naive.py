@@ -7,6 +7,9 @@ exhaustive subset enumeration, dict-of-sets adjacency.  Keep inputs tiny.
 from itertools import combinations
 
 from mbg.board import Player
+from mbg.errors import NotConnected
+from mbg.oracles import (BoosterSet, is_connected, is_hamiltonian,
+                         longest_path_order)
 
 
 def adjacency(n, edges):
@@ -78,6 +81,21 @@ def booster_edges(n, edges):
                 or longest_path_vertex_count(n, added) > base):
             out.add((u, v))
     return out
+
+
+def boosters_by_edge(g):
+    """``oracles.boosters`` by two fresh exact DPs per non-edge of ``g``."""
+    if not is_connected(g):
+        raise NotConnected("boosters are defined for connected graphs only")
+    if is_hamiltonian(g):
+        return BoosterSet(frozenset(), True)
+    base = longest_path_order(g)
+    found = []
+    for u, v in g.non_edges():
+        g2 = g.with_edge(u, v)
+        if is_hamiltonian(g2) or longest_path_order(g2) > base:
+            found.append((u, v))
+    return BoosterSet(frozenset(found), False)
 
 
 def connected(n, edges):

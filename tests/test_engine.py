@@ -161,6 +161,11 @@ class TestTrace:
         '{"params": {"n": 5}, "seed": 0, "moves": [{"round": 1}]}',
         '{"params": {"n": 5}, "seed": 0, "moves": [{"round": 1, "step": 1, '
         '"player": "Nobody", "u": 0, "v": 1}]}',
+        '{"params": {"n": 5}, "seed": 0, "moves": [{"round": 1, "step": 1, '
+        '"player": "Maker", "u": 0, "v": 1}]}',
+        '{"params": {"n": 5}, "seed": 0, "moves": [{"round": 1, "step": 1, '
+        '"player": "Breaker", "u": 0, "v": 1}, {"round": 1, "step": 2, '
+        '"player": "Breaker", "u": 0, "v": 2}]}',
     ])
     def test_malformed_json_is_incompatible(self, text):
         with pytest.raises(TraceIncompatible):

@@ -1,9 +1,11 @@
+import json
 import math
+import os
 
 import pytest
 
 from mbg.board import GameParams
-from mbg.engine import play_game, read_trace, write_trace
+from mbg.engine import play_game, read_trace, trace_to_json, write_trace
 from mbg.errors import MBGError
 from mbg.harness import (CellResult, SweepSpec, _estimate_threshold,
                          _int_list, _load_config, main, reference_threshold,
@@ -37,7 +39,14 @@ class TestWorkerCount:
         ("4", 4), ("1", 1), ("0", 1), ("-3", 1), ("junk", 1),
     ])
     def test_parsing(self, monkeypatch, raw, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setenv("MBG_THREADS", raw)
+        assert worker_count() == expected
+
+    @pytest.mark.parametrize("cores, expected", [(2, 2), (None, 1)])
+    def test_clamped_to_the_core_count(self, monkeypatch, cores, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setenv("MBG_THREADS", "64")
         assert worker_count() == expected
 
 
@@ -267,6 +276,19 @@ class TestCli:
     def test_verify_rejects_a_trace_without_moves(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"params": {"n": 5}, "seed": 0}\n', encoding="utf-8")
+        assert main(["verify", "--trace", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("u", "0"), ("round", 5)])
+    def test_verify_rejects_a_malformed_first_move(self, tmp_path, capsys,
+                                                   key, value):
+        params = GameParams(n=20, a=1, b=7, k=3)
+        outcome, trace = play_game(params, make_maker("min-deg", params),
+                                   make_breaker("random", params), seed=11)
+        doc = json.loads(trace_to_json(trace, outcome))
+        doc["moves"][0][key] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify", "--trace", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import _naive
 from mbg.board import Board, GameParams, Player
-from mbg.engine import play_game
+from mbg.engine import REASON_GOAL_ACHIEVED, play_game
 from mbg.errors import (InvalidParams, NoFreeEdge, StageBlocked,
                         StrategyInfeasible)
 from mbg.maker_strategies import (DEGREE_TARGET, GameStrategy, HamMakerState,
@@ -13,8 +14,36 @@ from mbg.maker_strategies import (DEGREE_TARGET, GameStrategy, HamMakerState,
                                   ham_stage2_move, ham_stage3_move,
                                   make_maker, min_deg_step)
 from mbg.breaker_strategies import make_breaker
+from mbg.harness import trial_seed
+from mbg.oracles import SimpleGraph, longest_path_order
 
 RNG = lambda: random.Random(0)
+
+
+class _CheckedStage3:
+    """A Ham3StageMaker whose stage-III claims are checked as they are made.
+
+    Each one must be the lowest free edge of the per-edge booster reference
+    for Maker's graph just before the claim; ``deficiencies`` records n minus
+    the longest-path order of that graph, call by call.
+    """
+
+    def __init__(self, maker):
+        self.maker = maker
+        self.deficiencies = []
+
+    def begin_move(self, board, rng):
+        self.maker.begin_move(board, rng)
+
+    def step(self, board, rng):
+        g = SimpleGraph.from_board(board, Player.MAKER)
+        before = self.maker.state.claims_in_stage["III"]
+        edge, target = self.maker.step(board, rng)
+        if self.maker.state.claims_in_stage["III"] > before:
+            ref = _naive.boosters_by_edge(g)
+            assert edge == min(e for e in ref.edges if board.is_free(e))
+            self.deficiencies.append(g.n - longest_path_order(g))
+        return edge, target
 
 
 def test_danger_is_exact():
@@ -212,6 +241,22 @@ class TestHam3StageMaker:
         order = {"I": 0, "II": 1, "III": 2, "done": 3}
         assert all(order[x] <= order[y] for x, y in zip(log, log[1:]))
         assert "II" in log or "III" in log
+
+    @pytest.mark.parametrize("index, deficiencies", [
+        (0, [1, 0]), (8, [5, 4, 2, 0]), (16, [3, 1, 0]),
+    ])
+    def test_stage3_claims_the_lowest_free_booster(self, index, deficiencies):
+        # Between them the three games reach every booster case: a Hamilton
+        # path (0), a longest path of n-1 vertices (1) and shorter ones.
+        params = GameParams(n=14, a=1, b=2, goal="hamiltonicity")
+        maker = Ham3StageMaker(params, degree_target=2)
+        checked = _CheckedStage3(maker)
+        outcome, _ = play_game(params, checked, make_breaker("random", params),
+                               seed=trial_seed(21, 0, index))
+        assert "III" in maker.state.stage_log
+        assert outcome.winner is Player.MAKER
+        assert outcome.reason == REASON_GOAL_ACHIEVED
+        assert checked.deficiencies == deficiencies
 
     def test_degree_target_validation(self):
         with pytest.raises(InvalidParams):

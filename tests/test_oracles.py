@@ -18,6 +18,10 @@ def path(n):
     return SimpleGraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def star(leaves):
+    return SimpleGraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
 def complete(n):
     return SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
@@ -103,6 +107,19 @@ class TestBoosters:
         found = boosters(cycle(5))
         assert found.edges == frozenset()
         assert found.already_hamiltonian
+
+    @pytest.mark.parametrize("g, deficiency, expected", [
+        (cycle(5), 0, set()),
+        (path(5), 0, {(0, 4)}),
+        (star(3), 1, {(1, 2), (1, 3), (2, 3)}),
+        (star(4), 2, {(u, v) for u in range(1, 5) for v in range(u + 1, 5)}),
+    ], ids=["hamiltonian", "hamilton-path", "K1,3", "K1,4"])
+    def test_each_case_matches_the_per_edge_reference(self, g, deficiency,
+                                                      expected):
+        assert g.n - longest_path_order(g) == deficiency
+        found = boosters(g)
+        assert found == _naive.boosters_by_edge(g)
+        assert found.edges == frozenset(expected)
 
     def test_disconnected_rejected(self):
         with pytest.raises(NotConnected):

@@ -13,6 +13,7 @@ from mbg.boxgame import (BoxPlayState, boxmaker_balancing_move,
 from mbg.breaker_strategies import make_breaker
 from mbg.engine import play_game, trace_from_json, trace_to_json
 from mbg.maker_strategies import make_maker
+from mbg.oracles import SimpleGraph, boosters
 
 SLOW = settings(max_examples=25, deadline=None)
 FAST = settings(max_examples=60, deadline=None)
@@ -120,6 +121,15 @@ def test_trace_json_round_trip(n, seed):
     assert back.moves == trace.moves
     assert back.params == trace.params
     assert back_outcome == outcome
+
+
+@FAST
+@given(n=st.integers(1, 12), p=st.floats(0.0, 0.6), seed=st.integers(0, 10**6))
+def test_boosters_match_the_per_edge_reference(n, p, seed):
+    rng = random.Random(seed)
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    g = SimpleGraph(n, tree + _naive.random_graph_edges(rng, n, p))
+    assert boosters(g) == _naive.boosters_by_edge(g)
 
 
 @FAST
