@@ -10,11 +10,10 @@ a slot in a flat triangular array: ``index(u, v) = u*n - u*(u+1)/2 + (v-u-1)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import EdgeAlreadyClaimed, InvalidParams
+from .errors import EdgeAlreadyClaimed, InvalidParams, NoFreeEdge
 
 Edge = tuple[int, int]
 
@@ -213,12 +212,13 @@ class Board:
                 return e
         return None
 
-    def lowest_free_edge(self) -> Edge | None:
+    def lowest_free_edge(self) -> Edge:
+        """The lexicographically first free edge; NoFreeEdge when none is."""
         state = self._state
         for idx in range(self.m):
             if state[idx] == FREE:
                 return self._edges[idx]
-        return None
+        raise NoFreeEdge("board exhausted")
 
     def random_free_edge(self, rng) -> Edge:
         if self.free_count == 0:

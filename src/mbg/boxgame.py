@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import BoxesExhausted, InvalidParams, PreconditionFailed, TooLarge
 
@@ -132,10 +133,6 @@ class BoxPlayState:
     destroyed: set[int] = field(default_factory=set)
     won: int | None = None
 
-    @classmethod
-    def from_instance(cls, inst: BoxInstance) -> "BoxPlayState":
-        return cls(remaining=list(inst.sizes))
-
     def surviving(self) -> list[int]:
         return [i for i in range(len(self.remaining))
                 if i not in self.destroyed and self.remaining[i] > 0]
@@ -249,7 +246,6 @@ def _destruction_outcomes(sizes: tuple[int, ...], q: int):
     out = set()
     k = len(sizes)
     for count in range(0, min(q, k) + 1):
-        from itertools import combinations
         for gone in combinations(range(k), count):
             out.add(tuple(s for i, s in enumerate(sizes) if i not in gone))
     return out

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 from .board import Board, Edge, GameParams, Player
 from .boxgame import BoxPlayState, boxmaker_balancing_move
-from .errors import (BoxesExhausted, InvalidParams, NoFreeEdge,
-                     StrategyInfeasible)
+from .errors import BoxesExhausted, InvalidParams, StrategyInfeasible
 from .maker_strategies import GameStrategy
 
 
@@ -31,28 +30,26 @@ def isolate_move(board: Board, params: GameParams, state: IsolateState) -> Edge:
     """One claim of the isolation plan.
 
     The first call locks onto the lowest Maker-untouched vertex and budgets
-    n - k edges for it; those claims leave the target unable to ever reach
-    Maker degree k.  Calls beyond the quota claim the lowest free edge.
+    one edge more than the foreclosure limit for it; those claims leave the
+    target unable to ever reach the threshold degree.  Calls beyond the quota
+    claim the lowest free edge.
     """
     if state.target is None:
         untouched = [v for v in range(board.n) if board.dM[v] == 0]
         state.target = untouched[0] if untouched else 0
-        state.quota = board.n - params.threshold_degree()
+        state.quota = params.foreclosure_limit() + 1
     if state.quota > 0:
         edge = board.lowest_free_incident_edge(state.target)
         if edge is not None:
             state.quota -= 1
             return edge
         state.quota = 0
-    edge = board.lowest_free_edge()
-    if edge is None:
-        raise NoFreeEdge("board exhausted")
-    return edge
+    return board.lowest_free_edge()
 
 
 class IsolateBreaker(GameStrategy):
     def __init__(self, params: GameParams):
-        needed = params.n - params.threshold_degree()
+        needed = params.foreclosure_limit() + 1
         if params.b < needed:
             raise StrategyInfeasible(
                 f"isolation needs bias >= {needed}, got {params.b}")
@@ -120,42 +117,38 @@ def clique_building_move(board: Board, params: GameParams,
             f"joining {a + 1} vertices needs {len(plan)} edges, bias is {b}")
     state.clique.extend(fresh)
     if len(plan) < b:
+        # Pad with free edges away from the clique, then with any free edge.
+        # Every planned edge touches a member, so the spares are new.
         members.update(fresh)
-        planned = set(plan)
-        spare = sorted(e for e in board.free_edges()
-                       if e[0] not in members and e[1] not in members
-                       and e not in planned)
-        plan.extend(spare[:b - len(plan)])
-    if len(plan) < b:
-        used = set(plan)
-        extra = sorted(e for e in board.free_edges() if e not in used)
-        plan.extend(extra[:b - len(plan)])
+        free = board.free_edges()
+        plan.extend(islice((e for e in free
+                            if e[0] not in members and e[1] not in members),
+                           b - len(plan)))
+        if len(plan) < b:
+            used = set(plan)
+            plan.extend(islice((e for e in free if e not in used),
+                               b - len(plan)))
     return plan
 
 
 def _freeze_boxes(board: Board, params: GameParams,
                   state: CliquePlanState) -> None:
-    a = params.a
-    keep = state.h - a
+    """Keep the h - a lowest clique vertices and give each one a box.
+
+    The box at v holds its lowest foreclosure_limit() + 1 - dB(v) free
+    edges: claiming all of them forecloses v.  A kept vertex is Maker-
+    untouched and its clique edges are Breaker's, so it has at least that
+    many free edges (the threshold degree is at least one), all leaving the
+    clique, and no free edge lies in two boxes.
+    """
+    keep = state.h - params.a
     if keep < 1 or len(state.clique) < keep:
         raise StrategyInfeasible(
             f"cannot keep {keep} of {len(state.clique)} clique vertices")
     state.v_star = sorted(state.clique)[:keep]
-    box_size = board.n - params.threshold_degree() - state.h + 1
-    if box_size < 1:
-        raise StrategyInfeasible(
-            f"box size {box_size} is empty for n={board.n}, h={state.h}")
-    members = set(state.clique)
-    boxes: dict[int, list[Edge]] = {}
-    for v in state.v_star:
-        edges = [e for e in board.free_incident_edges(v)
-                 if (e[0] if e[0] != v else e[1]) not in members]
-        if len(edges) < box_size:
-            raise StrategyInfeasible(
-                f"vertex {v} has {len(edges)} free edges outside the clique, "
-                f"box needs {box_size}")
-        boxes[v] = edges[:box_size]
-    state.boxes = boxes
+    limit = params.foreclosure_limit()
+    state.boxes = {v: board.free_incident_edges(v)[:limit + 1 - board.dB[v]]
+                   for v in state.v_star}
 
 
 def box_playing_move(board: Board, params: GameParams,
@@ -163,8 +156,9 @@ def box_playing_move(board: Board, params: GameParams,
     """Plan one box-game move with the balancing rule, bias b as the budget.
 
     A box is destroyed the moment Maker owns any edge in it.  Emptying a box
-    pushes its vertex to Breaker degree n - k, which forecloses min-degree k
-    for Maker; the engine's detection ends the game on that claim.
+    pushes its vertex one edge past the foreclosure limit, so Maker can no
+    longer reach the threshold degree there; the engine's detection ends the
+    game on that claim.
     """
     boxes = state.boxes
     assert boxes is not None
@@ -205,7 +199,8 @@ class CliqueBoxBreaker(GameStrategy):
         if b < join_cost:
             raise StrategyInfeasible(
                 f"bias {b} cannot pay the {join_cost}-edge opening join")
-        if n - params.threshold_degree() - h + 1 < 1:
+        # A kept vertex carries at least h - 1 Breaker clique edges.
+        if params.foreclosure_limit() + 1 < h:
             raise StrategyInfeasible(
                 f"boxes would be empty at n={n}, h={h}, k={params.k}")
         self.params = params
@@ -236,10 +231,7 @@ class CliqueBoxBreaker(GameStrategy):
                 return edge, None
         if self.state.stage == "fallback":
             return board.random_free_edge(rng), None
-        edge = board.lowest_free_edge()
-        if edge is None:
-            raise NoFreeEdge("board exhausted")
-        return edge, None
+        return board.lowest_free_edge(), None
 
 
 class RandomBreaker(GameStrategy):
@@ -250,15 +242,14 @@ class RandomBreaker(GameStrategy):
         return board.random_free_edge(rng), None
 
 
-BREAKER_STRATEGIES = ("isolate", "clique-box", "random")
+_BREAKERS = {"isolate": IsolateBreaker, "clique-box": CliqueBoxBreaker,
+             "random": RandomBreaker}
+BREAKER_STRATEGIES = tuple(_BREAKERS)
 
 
 def make_breaker(name: str, params: GameParams, **options) -> GameStrategy:
-    if name == "isolate":
-        return IsolateBreaker(params, **options)
-    if name == "clique-box":
-        return CliqueBoxBreaker(params, **options)
-    if name == "random":
-        return RandomBreaker(params, **options)
-    raise InvalidParams(
-        f"unknown breaker strategy {name!r}; expected one of {BREAKER_STRATEGIES}")
+    cls = _BREAKERS.get(name)
+    if cls is None:
+        raise InvalidParams(
+            f"unknown breaker strategy {name!r}; expected one of {BREAKER_STRATEGIES}")
+    return cls(params, **options)

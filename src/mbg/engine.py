@@ -12,13 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .board import Board, Edge, GameParams, Player
 from .errors import (InvalidParams, MBGError, StageBlocked, StrategyViolation,
                      TraceIncompatible)
-from .oracles import (HAMILTONIAN_CAP, SimpleGraph, is_connected,
-                      is_hamiltonian, min_degree)
+from .oracles import HAMILTONIAN_CAP, SimpleGraph, is_connected, is_hamiltonian
 
 REASON_GOAL_ACHIEVED = "goal-achieved"
 REASON_GOAL_IMPOSSIBLE = "goal-impossible"

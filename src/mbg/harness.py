@@ -143,7 +143,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     workers = worker_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trial, tasks, chunksize=16))
+            results = list(pool.map(_run_trial, tasks, chunksize=max(
+                1, len(tasks) // (4 * workers))))
     else:
         results = [_run_trial(t) for t in tasks]
 

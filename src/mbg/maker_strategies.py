@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .board import Board, Edge, GameParams, Player
-from .errors import InvalidParams, NoFreeEdge, StageBlocked, StrategyInfeasible
+from .errors import InvalidParams, StageBlocked
 from .oracles import (SimpleGraph, boosters, connected_components,
                       is_hamiltonian)
 
@@ -43,70 +43,49 @@ class GameStrategy:
         raise NotImplementedError
 
 
-@dataclass
-class MinDegState:
-    """Selection modes of the min-degree strategy.
+def most_endangered(board: Board, params: GameParams, below: int) -> int | None:
+    """Lowest vertex of maximal danger among those that still need degree.
 
-    ``tiebreak`` picks among equally dangerous vertices, ``edgepick`` among
-    the target's free edges; each is "lowest" (deterministic) or "random".
+    Candidates have Maker degree under ``below`` and a free incident edge;
+    danger is compared as a*D(v) = a*dB(v) - 2b*dM(v).  None when no
+    vertex qualifies.
     """
+    a, b = params.a, params.b
+    dM, dB = board.dM, board.dB
+    full = board.n - 1
+    target: int | None = None
+    best_key = 0
+    for v in range(board.n):
+        m = dM[v]
+        if m < below and m + dB[v] < full:
+            key = a * dB[v] - 2 * b * m
+            if target is None or key > best_key:
+                best_key = key
+                target = v
+    return target
 
-    k: int
-    tiebreak: str = "lowest"
-    edgepick: str = "lowest"
 
-    def __post_init__(self) -> None:
-        for name in ("tiebreak", "edgepick"):
-            if getattr(self, name) not in ("lowest", "random"):
-                raise InvalidParams(f"{name} must be 'lowest' or 'random'")
-
-
-def min_deg_step(board: Board, params: GameParams, state: MinDegState,
-                 rng) -> tuple[Edge, int | None]:
+def min_deg_step(board: Board, params: GameParams) -> tuple[Edge, int | None]:
     """One claim of the min-degree strategy.
 
-    A vertex is dangerous while dM(v) <= k-1.  Among dangerous vertices with
-    a free incident edge, ease one of maximal danger by claiming a free edge
-    at it.  If no dangerous vertex has a free edge left the goal is already
-    decided; claim any free edge so the game can run on.
+    A vertex is dangerous while its Maker degree is under the goal's
+    threshold degree.  Ease the most endangered dangerous vertex with a free
+    edge (lowest index on ties) by claiming its lowest free edge.  If none is
+    left the goal is already decided; claim the lowest free edge so the game
+    can run on.
     """
-    if board.free_count == 0:
-        raise NoFreeEdge("min_deg_step called on an exhausted board")
-    a, b, k = params.a, params.b, state.k
-    dM, dB = board.dM, board.dB
-    best_key: int | None = None
-    ties: list[int] = []
-    for v in range(board.n):
-        if dM[v] <= k - 1 and board.free_degree(v) > 0:
-            key = a * dB[v] - 2 * b * dM[v]
-            if best_key is None or key > best_key:
-                best_key = key
-                ties = [v]
-            elif key == best_key:
-                ties.append(v)
-    if not ties:
+    target = most_endangered(board, params, params.threshold_degree())
+    if target is None:
         return board.lowest_free_edge(), None
-    if state.tiebreak == "lowest" or len(ties) == 1:
-        target = ties[0]
-    else:
-        target = ties[rng.randrange(len(ties))]
-    if state.edgepick == "lowest":
-        edge = board.lowest_free_incident_edge(target)
-    else:
-        free = board.free_incident_edges(target)
-        edge = free[rng.randrange(len(free))]
-    return edge, target
+    return board.lowest_free_incident_edge(target), target
 
 
 class MinDegMaker(GameStrategy):
-    def __init__(self, params: GameParams, tiebreak: str = "lowest",
-                 edgepick: str = "lowest"):
+    def __init__(self, params: GameParams):
         self.params = params
-        self.state = MinDegState(k=params.threshold_degree(),
-                                 tiebreak=tiebreak, edgepick=edgepick)
 
     def step(self, board: Board, rng) -> tuple[Edge, int | None]:
-        return min_deg_step(board, self.params, self.state, rng)
+        return min_deg_step(board, self.params)
 
 
 _STAGES = ("I", "II", "III", "done")
@@ -116,7 +95,6 @@ _STAGES = ("I", "II", "III", "done")
 class HamMakerState:
     """Stage machine of the Hamiltonicity strategy."""
 
-    n: int
     degree_target: int = DEGREE_TARGET
     stage: str = "I"
     claims_in_stage: dict[str, int] = field(
@@ -138,27 +116,14 @@ def ham_stage1_step(board: Board, params: GameParams, state: HamMakerState,
                     rng) -> tuple[Edge, int | None]:
     """Stage I: raise every Maker degree to the target.
 
-    Pick the most endangered vertex still under the degree target (lowest
-    index on ties) and claim a uniformly random free edge at it.  Once no
-    vertex is under target, move to stage II.
+    Pick the most endangered vertex under the degree target that still has a
+    free edge (lowest index on ties) and claim a uniformly random free edge
+    at it.  Once no such vertex is left, move to stage II.
     """
-    a, b = params.a, params.b
-    dM, dB = board.dM, board.dB
-    under = [v for v in range(board.n) if dM[v] < state.degree_target]
-    if not under:
+    target = most_endangered(board, params, state.degree_target)
+    if target is None:
         state.transition("II")
         return ham_stage2_move(board, state)
-    candidates = [v for v in under if board.free_degree(v) > 0]
-    if not candidates:
-        raise StrategyInfeasible(
-            "every vertex under the degree target is saturated")
-    best_key = None
-    target = None
-    for v in candidates:
-        key = a * dB[v] - 2 * b * dM[v]
-        if best_key is None or key > best_key:
-            best_key = key
-            target = v
     free = board.free_incident_edges(target)
     edge = free[rng.randrange(len(free))]
     state.record_claim()
@@ -210,10 +175,7 @@ def ham_stage3_move(board: Board, state: HamMakerState) -> tuple[Edge, int | Non
     g = SimpleGraph.from_board(board, Player.MAKER)
     if is_hamiltonian(g):
         state.transition("done")
-        edge = board.lowest_free_edge()
-        if edge is None:
-            raise NoFreeEdge("board exhausted")
-        return edge, None
+        return board.lowest_free_edge(), None
     bset = boosters(g)
     for e in sorted(bset.edges):
         if board.is_free(e):
@@ -235,7 +197,7 @@ class Ham3StageMaker(GameStrategy):
         if degree_target < 1:
             raise InvalidParams(f"degree target must be >= 1, got {degree_target}")
         self.params = params
-        self.state = HamMakerState(n=params.n, degree_target=degree_target)
+        self.state = HamMakerState(degree_target=degree_target)
 
     def step(self, board: Board, rng) -> tuple[Edge, int | None]:
         state = self.state
@@ -247,14 +209,8 @@ class Ham3StageMaker(GameStrategy):
             try:
                 return ham_stage3_move(board, state)
             except StageBlocked:
-                edge = board.lowest_free_edge()
-                if edge is None:
-                    raise NoFreeEdge("board exhausted")
-                return edge, None
-        edge = board.lowest_free_edge()
-        if edge is None:
-            raise NoFreeEdge("board exhausted")
-        return edge, None
+                pass
+        return board.lowest_free_edge(), None
 
 
 class RandomMaker(GameStrategy):
@@ -265,15 +221,14 @@ class RandomMaker(GameStrategy):
         return board.random_free_edge(rng), None
 
 
-MAKER_STRATEGIES = ("min-deg", "ham-3stage", "random")
+_MAKERS = {"min-deg": MinDegMaker, "ham-3stage": Ham3StageMaker,
+           "random": RandomMaker}
+MAKER_STRATEGIES = tuple(_MAKERS)
 
 
 def make_maker(name: str, params: GameParams, **options) -> GameStrategy:
-    if name == "min-deg":
-        return MinDegMaker(params, **options)
-    if name == "ham-3stage":
-        return Ham3StageMaker(params, **options)
-    if name == "random":
-        return RandomMaker(params, **options)
-    raise InvalidParams(
-        f"unknown maker strategy {name!r}; expected one of {MAKER_STRATEGIES}")
+    cls = _MAKERS.get(name)
+    if cls is None:
+        raise InvalidParams(
+            f"unknown maker strategy {name!r}; expected one of {MAKER_STRATEGIES}")
+    return cls(params, **options)

@@ -7,6 +7,7 @@ Graphs are simple and undirected, stored as per-vertex adjacency bitmasks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -223,9 +224,7 @@ def is_k_expander(g: SimpleGraph, k: int, mode: str = "auto",
     if not (1 <= k):
         raise InvalidParams(f"k must be >= 1, got {k}")
     n = g.n
-    total = 0
-    for size in range(1, min(k, n) + 1):
-        total += _ncr(n, size)
+    total = sum(math.comb(n, size) for size in range(1, min(k, n) + 1))
     if mode not in ("auto", "exhaustive", "sample"):
         raise InvalidParams(f"unknown mode {mode!r}")
     if mode == "exhaustive" and total > EXPANDER_SUBSET_CAP:
@@ -258,11 +257,6 @@ def is_k_expander(g: SimpleGraph, k: int, mode: str = "auto",
         if (nb & ~umask).bit_count() < 2 * size:
             return ExpanderCheck(False, frozenset(combo), False)
     return ExpanderCheck(True, None, False)
-
-
-def _ncr(n: int, r: int) -> int:
-    import math
-    return math.comb(n, r) if 0 <= r <= n else 0
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import pytest
 
 from mbg.board import (Board, GameParams, Player, edge_index, edge_list_text,
                        new_board, normalize_goal, parse_edge_list)
-from mbg.errors import EdgeAlreadyClaimed, InvalidParams
+from mbg.errors import EdgeAlreadyClaimed, InvalidParams, NoFreeEdge
 
 
 class TestGameParams:
@@ -125,6 +125,8 @@ class TestBoard:
         assert board.free_edges() == []
         with pytest.raises(InvalidParams):
             board.random_free_edge(random.Random(0))
+        with pytest.raises(NoFreeEdge):
+            board.lowest_free_edge()
 
     def test_new_board_small_n_rejected(self):
         with pytest.raises(InvalidParams):

@@ -122,6 +122,19 @@ class TestCliqueBuilding:
         assert len(state.boxes[3]) == 4  # 10 frozen, 6 played off
         assert plan == [(0, 3), (1, 3), (2, 3), (3, 4), (3, 5), (3, 6)]
 
+    def test_box_counts_breaker_edges_at_its_vertex(self):
+        # vertex 3 already carries two Breaker edges, so with k=3 (limit 8)
+        # seven more foreclose it: the box holds the lowest seven free edges
+        board = Board(12)
+        board.claim(Player.BREAKER, (3, 7))
+        board.claim(Player.BREAKER, (0, 3))
+        params = GameParams(n=12, a=1, b=6, k=3)
+        state = CliquePlanState(h=2, clique=[3, 7])
+        plan = clique_building_move(board, params, state)
+        assert plan == [(1, 3), (2, 3), (3, 4), (3, 5), (3, 6), (3, 8)]
+        assert state.boxes == {3: [(3, 9)]}
+        assert board.dB[3] + 7 == params.foreclosure_limit() + 1
+
 
 class TestBoxPlaying:
     def params(self, n=8, b=2):
@@ -187,16 +200,28 @@ class TestCliqueBoxBreaker:
         assert runs[0] == runs[1]
 
     def test_desk_scale_fallback_is_flagged(self):
-        # at n=40 the clique overshoots its target, leaving fewer free
-        # non-clique edges per kept vertex than a box needs; the plan
+        # at n=40 and b=12 the boxes are too large for the bias: Maker
+        # touches every one of them before Breaker can empty one; the plan
         # detects this, flags the game, and finishes on random play
-        params = GameParams(n=40, a=1, b=20)
+        params = GameParams(n=40, a=1, b=12)
         maker = make_maker("min-deg", params)
         breaker = make_breaker("clique-box", params)
         outcome, trace = play_game(params, maker, breaker, seed=0)
         assert breaker.state.stage == "fallback"
-        assert "box needs" in breaker.infeasible_reason
+        assert "every remaining box" in breaker.infeasible_reason
         assert "strategy-infeasible" in outcome.flags
+
+    def test_box_play_wins_at_desk_scale(self):
+        params = GameParams(n=40, a=1, b=20)
+        breaker = make_breaker("clique-box", params)
+        outcome, trace = play_game(params, make_maker("min-deg", params),
+                                   breaker, seed=0)
+        assert breaker.state.stage == "done"
+        assert breaker.infeasible_reason is None
+        assert outcome.flags == ()
+        assert outcome.winner is Player.BREAKER
+        assert outcome.reason == REASON_GOAL_IMPOSSIBLE
+        assert outcome.decisive_round == 8
 
     def test_queue_skips_edges_lost_to_maker(self):
         params = GameParams(n=20, a=1, b=3)

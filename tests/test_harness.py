@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from mbg import harness
 from mbg.board import GameParams
 from mbg.engine import play_game, read_trace, trace_to_json, write_trace
 from mbg.errors import MBGError
@@ -132,9 +133,9 @@ class TestRunSweep:
         assert result.cells[1].win_rate == 0.0  # isolation always wins here
 
     def test_plan_fallbacks_are_counted(self):
-        # the setting of test_desk_scale_fallback_is_flagged: at n=40 the
-        # clique-box plan cannot size its boxes and every game falls back
-        result = run_sweep(self.spec(n=40, b_values=(20,), trials=2,
+        # the setting of test_desk_scale_fallback_is_flagged: at n=40 and
+        # b=12 Maker destroys every box and every game falls back
+        result = run_sweep(self.spec(n=40, b_values=(12,), trials=2,
                                      breaker="clique-box"))
         assert result.cells[0].fallback == result.cells[0].trials == 2
 
@@ -160,6 +161,37 @@ class TestRunSweep:
         run_sweep(self.spec(out_path=str(pooled)))
         strip = lambda p: p.read_text(encoding="utf-8").splitlines()[1:]
         assert strip(serial) == strip(pooled)
+
+    @pytest.mark.parametrize("b_values, trials, chunksize", [
+        ((1, 2), 4, 1), ((1, 2, 3, 4), 10, 5),
+    ])
+    def test_chunks_spread_over_the_workers(self, monkeypatch, b_values,
+                                            trials, chunksize):
+        # a pool stand-in that records its settings and maps in-process
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                seen.append(chunksize)
+                return map(fn, tasks)
+
+        spec = self.spec(b_values=b_values, trials=trials)
+        monkeypatch.delenv("MBG_THREADS", raising=False)
+        serial = run_sweep(spec)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("MBG_THREADS", "2")
+        assert run_sweep(spec).cells == serial.cells
+        assert seen == [2, chunksize]
 
 
 class TestConfigHandling:

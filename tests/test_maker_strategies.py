@@ -5,14 +5,13 @@ import pytest
 
 import _naive
 from mbg.board import Board, GameParams, Player
-from mbg.engine import REASON_GOAL_ACHIEVED, play_game
-from mbg.errors import (InvalidParams, NoFreeEdge, StageBlocked,
-                        StrategyInfeasible)
+from mbg.engine import REASON_GOAL_ACHIEVED, REASON_GOAL_IMPOSSIBLE, play_game
+from mbg.errors import InvalidParams, NoFreeEdge, StageBlocked
 from mbg.maker_strategies import (DEGREE_TARGET, GameStrategy, HamMakerState,
-                                  Ham3StageMaker, MinDegMaker, MinDegState,
-                                  RandomMaker, danger, ham_stage1_step,
-                                  ham_stage2_move, ham_stage3_move,
-                                  make_maker, min_deg_step)
+                                  Ham3StageMaker, MinDegMaker, RandomMaker,
+                                  danger, ham_stage1_step, ham_stage2_move,
+                                  ham_stage3_move, make_maker, min_deg_step,
+                                  most_endangered)
 from mbg.breaker_strategies import make_breaker
 from mbg.harness import trial_seed
 from mbg.oracles import SimpleGraph, longest_path_order
@@ -68,8 +67,7 @@ class TestMinDegStep:
         board = Board(6)
         board.claim(Player.BREAKER, (0, 1))
         board.claim(Player.BREAKER, (0, 2))
-        edge, target = min_deg_step(board, self.params(),
-                                    MinDegState(k=1), RNG())
+        edge, target = min_deg_step(board, self.params())
         assert target == 0
         assert edge == (0, 3)  # lowest free edge at the target
 
@@ -79,15 +77,13 @@ class TestMinDegStep:
         board.claim(Player.BREAKER, (0, 2))
         board.claim(Player.MAKER, (0, 3))
         # vertex 0 is safe now (k=1); the claim moves to an untouched vertex
-        edge, target = min_deg_step(board, self.params(),
-                                    MinDegState(k=1), RNG())
+        edge, target = min_deg_step(board, self.params())
         assert target in (1, 2)  # dB=1 beats the untouched vertices
         assert board.is_free(edge) and target in edge
 
     def test_ties_break_to_lowest_vertex(self):
         board = Board(6)
-        edge, target = min_deg_step(board, self.params(),
-                                    MinDegState(k=1), RNG())
+        edge, target = min_deg_step(board, self.params())
         assert target == 0
         assert edge == (0, 1)
 
@@ -95,8 +91,7 @@ class TestMinDegStep:
         board = Board(4)
         for e in [(0, 1), (2, 3)]:
             board.claim(Player.MAKER, e)
-        edge, target = min_deg_step(board, self.params(n=4),
-                                    MinDegState(k=1), RNG())
+        edge, target = min_deg_step(board, self.params(n=4))
         assert target is None
         assert edge == (0, 2)
 
@@ -105,22 +100,22 @@ class TestMinDegStep:
         for e in [(0, 1), (0, 2), (1, 2)]:
             board.claim(Player.BREAKER, e)
         with pytest.raises(NoFreeEdge):
-            min_deg_step(board, self.params(n=3), MinDegState(k=1), RNG())
+            min_deg_step(board, self.params(n=3))
 
-    def test_random_modes_are_seed_deterministic(self):
-        state = MinDegState(k=1, tiebreak="random", edgepick="random")
-        picks = set()
-        for _ in range(3):
-            board = Board(8)
-            picks.add(min_deg_step(board, self.params(n=8), state,
-                                   random.Random(7)))
-        assert len(picks) == 1
 
-    def test_state_validates_modes(self):
-        with pytest.raises(InvalidParams):
-            MinDegState(k=1, tiebreak="weird")
-        with pytest.raises(InvalidParams):
-            MinDegState(k=1, edgepick="")
+def test_most_endangered_skips_satisfied_and_saturated_vertices():
+    board = Board(5)
+    for w in (1, 2, 3, 4):
+        board.claim(Player.BREAKER, (0, w))
+    board.claim(Player.MAKER, (1, 2))
+    params = GameParams(n=5, a=1, b=1)
+    # vertex 0 is the most endangered but has no free edge; 1 and 2 have
+    # reached degree one, so 3 wins the tie with 4 (dB=1 each)
+    assert most_endangered(board, params, below=1) == 3
+    # under a higher bar 1 and 2 qualify, but dM=1 costs them 2b
+    assert most_endangered(board, params, below=2) == 3
+    board.claim(Player.MAKER, (3, 4))
+    assert most_endangered(board, params, below=1) is None
 
 
 class TestMinDegMaker:
@@ -135,14 +130,22 @@ class TestMinDegMaker:
             assert all(t is None or 0 <= t < 10 for t in round_targets)
 
     def test_uses_threshold_degree_not_raw_k(self):
+        board = Board(8)
+        board.claim(Player.MAKER, (0, 1))
+        for w in (2, 3, 4, 5):
+            board.claim(Player.BREAKER, (0, w))
+        # with goal connectivity only Maker degree one counts, so vertex 0
+        # (dM=1, highest dB) is safe and the claim eases vertex 2 (dB=1)
         params = GameParams(n=8, k=3, goal="connectivity")
-        maker = MinDegMaker(params)
-        assert maker.state.k == 1
+        assert MinDegMaker(params).step(board, RNG()) == ((1, 2), 2)
+        # under min-degree k=3 the same vertex is the target
+        params = GameParams(n=8, k=3)
+        assert MinDegMaker(params).step(board, RNG()) == ((0, 6), 0)
 
 
 class TestHamStageMachine:
     def test_transitions_only_advance(self):
-        state = HamMakerState(n=10)
+        state = HamMakerState()
         state.transition("II")
         state.transition("III")
         with pytest.raises(InvalidParams):
@@ -153,7 +156,7 @@ class TestHamStageMachine:
         board = Board(6)
         board.claim(Player.BREAKER, (3, 4))
         board.claim(Player.BREAKER, (3, 5))
-        state = HamMakerState(n=6, degree_target=2)
+        state = HamMakerState(degree_target=2)
         edge, target = ham_stage1_step(board, GameParams(n=6), state, RNG())
         assert target == 3
         assert 3 in edge and board.is_free(edge)
@@ -164,28 +167,30 @@ class TestHamStageMachine:
         # a 4-cycle gives every vertex Maker degree 2
         for e in [(0, 1), (1, 2), (2, 3), (0, 3)]:
             board.claim(Player.MAKER, e)
-        state = HamMakerState(n=4, degree_target=2)
+        state = HamMakerState(degree_target=2)
         edge, _ = ham_stage1_step(board, GameParams(n=4), state, RNG())
         # the cycle is already Hamiltonian, so stage III immediately closes
         assert state.stage == "done"
         assert board.is_free(edge)
 
-    def test_stage1_infeasible_when_deficient_vertices_saturated(self):
+    def test_stage1_hands_over_past_saturated_vertices(self):
         board = Board(4)
         for w in (1, 2, 3):
             board.claim(Player.BREAKER, (0, w))
         for e in [(1, 2), (1, 3), (2, 3)]:
             board.claim(Player.MAKER, e)
-        # only vertex 0 is under target, and all of its edges are gone
-        state = HamMakerState(n=4, degree_target=1)
-        with pytest.raises(StrategyInfeasible):
+        # only vertex 0 is under target, and all of its edges are gone:
+        # stage II takes over and finds no free edge joining {0} to the rest
+        state = HamMakerState(degree_target=1)
+        with pytest.raises(StageBlocked):
             ham_stage1_step(board, GameParams(n=4), state, RNG())
+        assert state.stage_log == ["I", "II"]
 
     def test_stage2_merges_smallest_components_first(self):
         board = Board(7)
         for e in [(0, 1), (2, 3), (4, 5)]:
             board.claim(Player.MAKER, e)
-        state = HamMakerState(n=7, stage="II")
+        state = HamMakerState(stage="II")
         edge, target = ham_stage2_move(board, state)
         assert target is None
         # singleton {6} pairs with the lowest two-vertex component
@@ -197,7 +202,7 @@ class TestHamStageMachine:
         board.claim(Player.MAKER, (2, 3))
         for e in [(0, 2), (0, 3), (1, 2), (1, 3)]:
             board.claim(Player.BREAKER, e)
-        state = HamMakerState(n=4, stage="II")
+        state = HamMakerState(stage="II")
         with pytest.raises(StageBlocked):
             ham_stage2_move(board, state)
 
@@ -205,7 +210,7 @@ class TestHamStageMachine:
         board = Board(4)
         for e in [(0, 1), (1, 2), (2, 3)]:
             board.claim(Player.MAKER, e)
-        state = HamMakerState(n=4, stage="III")
+        state = HamMakerState(stage="III")
         edge, _ = ham_stage3_move(board, state)
         assert edge == (0, 3)
 
@@ -214,7 +219,7 @@ class TestHamStageMachine:
         for e in [(0, 1), (1, 2), (2, 3)]:
             board.claim(Player.MAKER, e)
         board.claim(Player.BREAKER, (0, 3))
-        state = HamMakerState(n=4, stage="III")
+        state = HamMakerState(stage="III")
         with pytest.raises(StageBlocked):
             ham_stage3_move(board, state)
 
@@ -257,6 +262,19 @@ class TestHam3StageMaker:
         assert outcome.winner is Player.MAKER
         assert outcome.reason == REASON_GOAL_ACHIEVED
         assert checked.deficiencies == deficiencies
+
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_saturated_stage1_hands_over_in_play(self, index):
+        # Every vertex under degree 3 runs out of free edges in stage I;
+        # the plan passes on to stages II and III instead of raising.
+        params = GameParams(n=10, a=1, b=2, goal="hamiltonicity")
+        maker = Ham3StageMaker(params, degree_target=3)
+        outcome, _ = play_game(params, maker, make_breaker("random", params),
+                               seed=trial_seed(3, 0, index))
+        assert maker.state.stage_log == ["I", "II", "III"]
+        assert outcome.winner is Player.BREAKER
+        assert outcome.reason == REASON_GOAL_IMPOSSIBLE
+        assert outcome.decisive_round == 15
 
     def test_degree_target_validation(self):
         with pytest.raises(InvalidParams):
