@@ -428,28 +428,3 @@ def foreclosed_degree_floor_ok(audit: PotentialAudit) -> bool:
     params = audit.trace.params
     d_before = audit.snap_b[audit.s].dB[audit.vS]
     return d_before >= params.n - audit.k - params.b
-
-
-def degree_cap_exceptions(trace: GameTrace, delta: float
-                          ) -> list[tuple[int, int, int]]:
-    """Rounds where a still-deficient vertex exceeds the (1-delta)n cap.
-
-    The cap is an asymptotic statement, so overshoots at small n are
-    recorded (first offence per vertex) rather than treated as failures;
-    they should thin out as n grows.
-    """
-    if not (0.0 < delta < 1.0):
-        raise InvalidParams(f"delta must be in (0,1), got {delta}")
-    params = trace.params
-    k = params.threshold_degree()
-    cap = (1.0 - delta) * params.n
-    seen: set[int] = set()
-    exceptions: list[tuple[int, int, int]] = []
-    for mv, board in _replay(trace):
-        if mv.player is Player.BREAKER:
-            for v in mv.edge:
-                degree = board.dB[v] + 1  # counting the claim being replayed
-                if v not in seen and board.dM[v] < k and degree > cap:
-                    seen.add(v)
-                    exceptions.append((mv.round, v, degree))
-    return exceptions

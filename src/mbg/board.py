@@ -1,15 +1,18 @@
 """Edge board of the complete graph K_n.
 
-Every edge is in one of three states (free, Maker's, Breaker's).  The board
-keeps per-vertex degree counters for both players and a free-edge pool so the
-hot paths of the simulator stay O(1) per claim.
+Every edge is free, Maker's or Breaker's.  Ownership is kept as one bitmask
+row per vertex and player: bit w of ``maker[v]`` (``breaker[v]``) is set
+when that player owns vw, exactly the adjacency rows of ``SimpleGraph``.
+Freeness comes from a free-edge pool, and per-vertex degree counters for
+both players keep the hot paths of the simulator O(1) per claim.
 
-Edges are plain ``(u, v)`` tuples with ``u < v``.  Internally an edge maps to
-a slot in a flat triangular array: ``index(u, v) = u*n - u*(u+1)/2 + (v-u-1)``.
+Edges are plain ``(u, v)`` tuples with ``u < v``.  The pool keys an edge by
+its slot in the triangular order: ``u*n - u*(u+1)/2 + (v-u-1)``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,9 +20,8 @@ from .errors import EdgeAlreadyClaimed, InvalidParams, NoFreeEdge
 
 Edge = tuple[int, int]
 
-FREE = 0
-_MAKER = 1
-_BREAKER = 2
+# Largest board: the slot tables grow as n^2 (about 87 MB at n = 1000).
+MAX_N = 1000
 
 
 class Player(Enum):
@@ -68,8 +70,8 @@ class GameParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "goal", normalize_goal(self.goal))
         m = self.n * (self.n - 1) // 2
-        if self.n < 3:
-            raise InvalidParams(f"n must be >= 3, got {self.n}")
+        if not (3 <= self.n <= MAX_N):
+            raise InvalidParams(f"n must be in [3, {MAX_N}], got {self.n}")
         if not (1 <= self.a <= m):
             raise InvalidParams(f"a must be in [1, {m}], got {self.a}")
         if not (1 <= self.b <= m):
@@ -121,30 +123,40 @@ class GameParams:
         )
 
 
-def edge_index(n: int, u: int, v: int) -> int:
-    """Triangular-array slot of edge (u, v), u < v."""
-    return u * n - u * (u + 1) // 2 + (v - u - 1)
+def bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class Board:
     """Mutable claim state of K_n's edge set."""
 
-    __slots__ = ("n", "m", "_state", "_edges", "dM", "dB",
+    __slots__ = ("n", "m", "maker", "breaker", "dM", "dB", "_full", "_edges",
                  "_free", "_free_pos", "free_count")
 
     def __init__(self, n: int):
-        if n < 3:
-            raise InvalidParams(f"board needs n >= 3, got {n}")
+        if not (3 <= n <= MAX_N):
+            raise InvalidParams(f"board needs n in [3, {MAX_N}], got {n}")
         self.n = n
         self.m = n * (n - 1) // 2
-        self._state = bytearray(self.m)
+        self.maker = [0] * n
+        self.breaker = [0] * n
+        self._full = (1 << n) - 1
         self._edges: list[Edge] = [
             (u, v) for u in range(n) for v in range(u + 1, n)
         ]
         self.dM = [0] * n
         self.dB = [0] * n
         # Free pool with positional index, so claims are O(1) and uniform
-        # sampling needs no scan.  Pool order is arbitrary after removals.
+        # sampling needs no scan.  The first free_count slots of _free are the
+        # free edges, in arbitrary order after removals; a claimed slot moves
+        # just past them, so an edge is free iff its position is below
+        # free_count.
         self._free = list(range(self.m))
         self._free_pos = list(range(self.m))
         self.free_count = self.m
@@ -156,13 +168,13 @@ class Board:
         return u * self.n - u * (u + 1) // 2 + (v - u - 1)
 
     def state_of(self, edge: Edge) -> Player | None:
-        code = self._state[self._index(edge)]
-        if code == FREE:
+        if self.is_free(edge):
             return None
-        return Player.MAKER if code == _MAKER else Player.BREAKER
+        u, v = edge
+        return Player.MAKER if self.maker[u] >> v & 1 else Player.BREAKER
 
     def is_free(self, edge: Edge) -> bool:
-        return self._state[self._index(edge)] == FREE
+        return self._free_pos[self._index(edge)] < self.free_count
 
     def claim(self, player: Player, edge: Edge) -> None:
         """Give ``edge`` to ``player``.
@@ -170,54 +182,54 @@ class Board:
         Raises EdgeAlreadyClaimed (board untouched) if the edge is taken.
         """
         idx = self._index(edge)
-        if self._state[idx] != FREE:
+        free, free_pos = self._free, self._free_pos
+        pos = free_pos[idx]
+        count = self.free_count - 1
+        if pos > count:
             raise EdgeAlreadyClaimed(
                 f"edge {edge!r} already belongs to {self.state_of(edge).value}"
             )
-        self._state[idx] = _MAKER if player is Player.MAKER else _BREAKER
-        deg = self.dM if player is Player.MAKER else self.dB
         u, v = edge
-        deg[u] += 1
-        deg[v] += 1
-        pos = self._free_pos[idx]
-        last = self._free[self.free_count - 1]
-        self._free[pos] = last
-        self._free_pos[last] = pos
-        self.free_count -= 1
+        if player is Player.MAKER:
+            self.maker[u] |= 1 << v
+            self.maker[v] |= 1 << u
+            self.dM[u] += 1
+            self.dM[v] += 1
+        else:
+            self.breaker[u] |= 1 << v
+            self.breaker[v] |= 1 << u
+            self.dB[u] += 1
+            self.dB[v] += 1
+        last = free[count]
+        free[pos] = last
+        free_pos[last] = pos
+        free[count] = idx
+        free_pos[idx] = count
+        self.free_count = count
 
-    def free_degree(self, v: int) -> int:
-        return self.n - 1 - self.dM[v] - self.dB[v]
+    def free_row(self, v: int) -> int:
+        """Bit w is set when the edge vw is free."""
+        return self._full ^ (1 << v | self.maker[v] | self.breaker[v])
 
     def free_incident_edges(self, v: int) -> list[Edge]:
         """Free edges at ``v`` in ascending other-endpoint order."""
         if not (0 <= v < self.n):
             raise InvalidParams(f"vertex {v} out of range")
-        out = []
-        state = self._state
-        n = self.n
-        for w in range(n):
-            if w == v:
-                continue
-            e = (v, w) if v < w else (w, v)
-            if state[self._index(e)] == FREE:
-                out.append(e)
-        return out
+        return [(w, v) if w < v else (v, w) for w in bits(self.free_row(v))]
 
     def lowest_free_incident_edge(self, v: int) -> Edge | None:
-        for w in range(self.n):
-            if w == v:
-                continue
-            e = (v, w) if v < w else (w, v)
-            if self._state[self._index(e)] == FREE:
-                return e
-        return None
+        row = self.free_row(v)
+        if not row:
+            return None
+        w = (row & -row).bit_length() - 1
+        return (w, v) if w < v else (v, w)
 
     def lowest_free_edge(self) -> Edge:
         """The lexicographically first free edge; NoFreeEdge when none is."""
-        state = self._state
-        for idx in range(self.m):
-            if state[idx] == FREE:
-                return self._edges[idx]
+        for u in range(self.n - 1):
+            ahead = self.free_row(u) >> (u + 1)
+            if ahead:
+                return u, u + (ahead & -ahead).bit_length()
         raise NoFreeEdge("board exhausted")
 
     def random_free_edge(self, rng) -> Edge:
@@ -225,29 +237,21 @@ class Board:
             raise InvalidParams("no free edge left")
         return self._edges[self._free[rng.randrange(self.free_count)]]
 
-    def free_edges(self) -> list[Edge]:
-        """All free edges in lexicographic order."""
-        state = self._state
-        return [self._edges[i] for i in range(self.m) if state[i] == FREE]
-
-    def edges_of(self, player: Player) -> list[Edge]:
-        """Edges owned by ``player`` in lexicographic order."""
-        code = _MAKER if player is Player.MAKER else _BREAKER
-        state = self._state
-        return [self._edges[i] for i in range(self.m) if state[i] == code]
+    def free_edges(self) -> Iterator[Edge]:
+        """All free edges in lexicographic order, generated lazily."""
+        for u in range(self.n - 1):
+            for w in bits(self.free_row(u) >> (u + 1) << (u + 1)):
+                yield u, w
 
     def snapshot(self) -> bytes:
         """Opaque fingerprint of the claim state (for equality checks)."""
-        return bytes(self._state)
+        size = (self.n + 7) // 8
+        return b"".join(row.to_bytes(size, "little")
+                        for row in self.maker + self.breaker)
 
 
 def new_board(n: int) -> Board:
     return Board(n)
-
-
-def edge_list_text(edges) -> str:
-    """Serialize edges as one ``u v`` pair per line, ascending."""
-    return "".join(f"{u} {v}\n" for u, v in sorted(edges))
 
 
 def parse_edge_list(text: str) -> list[Edge]:

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
-from .board import Board, Edge, GameParams, Player
+from .board import Board, Edge, GameParams, bits
 from .boxgame import BoxPlayState, boxmaker_balancing_move
 from .errors import BoxesExhausted, InvalidParams, StrategyInfeasible
 from .maker_strategies import GameStrategy
@@ -72,14 +72,15 @@ class CliquePlanState:
     ``clique`` holds the current candidate vertices (Maker-untouched, pairwise
     joined by Breaker edges).  Once it reaches ``h`` vertices the plan freezes
     ``v_star`` (the h - a lowest candidates) and a box of free edges per
-    chosen vertex; emptying any box forecloses that vertex.
+    chosen vertex; emptying any box forecloses that vertex.  The box at v is
+    a row mask: bit w stands for the edge vw.
     """
 
     h: int
     stage: str = "clique"
     clique: list[int] = field(default_factory=list)
     v_star: list[int] | None = None
-    boxes: dict[int, list[Edge]] | None = None
+    boxes: dict[int, int] | None = None
     finished_vertex: int | None = None
 
 
@@ -119,14 +120,15 @@ def clique_building_move(board: Board, params: GameParams,
     if len(plan) < b:
         # Pad with free edges away from the clique, then with any free edge.
         # Every planned edge touches a member, so the spares are new.
+        # Each pass needs a fresh free_edges() generator: a spent one
+        # would silently pad fewer edges.
         members.update(fresh)
-        free = board.free_edges()
-        plan.extend(islice((e for e in free
+        plan.extend(islice((e for e in board.free_edges()
                             if e[0] not in members and e[1] not in members),
                            b - len(plan)))
         if len(plan) < b:
             used = set(plan)
-            plan.extend(islice((e for e in free if e not in used),
+            plan.extend(islice((e for e in board.free_edges() if e not in used),
                                b - len(plan)))
     return plan
 
@@ -147,8 +149,18 @@ def _freeze_boxes(board: Board, params: GameParams,
             f"cannot keep {keep} of {len(state.clique)} clique vertices")
     state.v_star = sorted(state.clique)[:keep]
     limit = params.foreclosure_limit()
-    state.boxes = {v: board.free_incident_edges(v)[:limit + 1 - board.dB[v]]
+    state.boxes = {v: _lowest_bits(board.free_row(v), limit + 1 - board.dB[v])
                    for v in state.v_star}
+
+
+def _lowest_bits(mask: int, count: int) -> int:
+    """The ``count`` lowest set bits of ``mask``."""
+    out = 0
+    for _ in range(count):
+        low = mask & -mask
+        out |= low
+        mask ^= low
+    return out
 
 
 def box_playing_move(board: Board, params: GameParams,
@@ -163,17 +175,18 @@ def box_playing_move(board: Board, params: GameParams,
     boxes = state.boxes
     assert boxes is not None
     for v in sorted(boxes):
-        if any(board.state_of(e) == Player.MAKER for e in boxes[v]):
+        if board.maker[v] & boxes[v]:
             del boxes[v]
     if not boxes:
         raise BoxesExhausted("Maker holds an edge in every remaining box")
     order = sorted(boxes)
-    play = BoxPlayState(remaining=[len(boxes[v]) for v in order])
+    play = BoxPlayState(remaining=[boxes[v].bit_count() for v in order])
     plan: list[Edge] = []
     for idx, count in boxmaker_balancing_move(play, params.b):
         v = order[idx]
-        take, boxes[v] = boxes[v][:count], boxes[v][count:]
-        plan.extend(take)
+        take = _lowest_bits(boxes[v], count)
+        boxes[v] ^= take
+        plan.extend((w, v) if w < v else (v, w) for w in bits(take))
     if play.won is not None:
         state.finished_vertex = order[play.won]
         state.stage = "done"

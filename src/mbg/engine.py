@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 from .board import Board, Edge, GameParams, Player
-from .errors import (InvalidParams, MBGError, StageBlocked, StrategyViolation,
-                     TraceIncompatible)
+from .errors import (EdgeAlreadyClaimed, InvalidParams, MBGError, StageBlocked,
+                     StrategyViolation, TraceIncompatible)
 from .oracles import HAMILTONIAN_CAP, SimpleGraph, is_connected, is_hamiltonian
 
 REASON_GOAL_ACHIEVED = "goal-achieved"
@@ -38,14 +38,6 @@ class GameTrace:
     seed: int
     moves: list[MoveRecord] = field(default_factory=list)
 
-    def maker_targets(self) -> dict[int, list[int | None]]:
-        """Per round, the vertices Maker's strategy aimed at, in step order."""
-        out: dict[int, list[int | None]] = {}
-        for mv in self.moves:
-            if mv.player is Player.MAKER:
-                out.setdefault(mv.round, []).append(mv.target)
-        return out
-
     def maker_claims(self) -> int:
         return sum(1 for mv in self.moves if mv.player is Player.MAKER)
 
@@ -61,37 +53,26 @@ class GameOutcome:
     flags: tuple[str, ...] = ()
 
 
+# Maker's minimum degree that each goal needs before its graph test.
+_DEGREE_GATE = {"connectivity": 1, "hamiltonicity": 2}
+
+
 def detect_maker_win(board: Board, goal: str, k: int = 1) -> bool:
-    """Has Maker's graph already met the goal predicate?"""
+    """Has Maker's graph already met the goal predicate?
+
+    Every goal first needs a minimum Maker degree: k for min-degree, 1 for
+    connectivity, 2 for a Hamilton cycle.  Below it the answer is False at
+    the cost of one pass over the degrees; past it, the graph test runs.
+    """
+    need = k if goal == "min-degree" else _DEGREE_GATE.get(goal)
+    if need is None:
+        raise InvalidParams(f"unknown goal {goal!r}")
+    if min(board.dM) < need:
+        return False
     if goal == "min-degree":
-        return min(board.dM) >= k
+        return True
     g = SimpleGraph.from_board(board, Player.MAKER)
-    if goal == "connectivity":
-        return is_connected(g)
-    if goal == "hamiltonicity":
-        return is_hamiltonian(g)
-    raise InvalidParams(f"unknown goal {goal!r}")
-
-
-class _DSU:
-    """Union-find over Maker's vertices for incremental connectivity."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.components = n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-            self.components -= 1
+    return is_connected(g) if goal == "connectivity" else is_hamiltonian(g)
 
 
 def play_game(params: GameParams, maker, breaker, seed: int,
@@ -102,14 +83,12 @@ def play_game(params: GameParams, maker, breaker, seed: int,
     exposing ``begin_move(board, rng)`` and ``step(board, rng) -> (edge,
     target)``.  The outcome is deterministic in (params, strategies, seed).
 
-    A Maker win is detected incrementally after each Maker claim; a Breaker
-    win the moment some vertex can no longer reach the obstruction degree.
-    Hamiltonicity, being expensive, is only tested once a Maker claim leaves
-    Maker's graph connected with minimum degree at least 2, as every
-    Hamiltonian graph is, so the win is still seen at the claim that makes
-    it.  With ``early_stop=False`` the board is played out fully and only
-    the final predicate decides, which exists so tests can confirm the
-    shortcuts are sound.
+    A Maker win is tested with ``detect_maker_win`` after each Maker claim,
+    so it is seen at the claim that makes it; a Breaker win the moment some
+    vertex can no longer reach the obstruction degree.  With
+    ``early_stop=False`` the board is played out fully and only the final
+    predicate decides, which exists so tests can confirm the shortcuts are
+    sound.
     """
     import random
 
@@ -120,25 +99,11 @@ def play_game(params: GameParams, maker, breaker, seed: int,
     board = Board(params.n)
     trace = GameTrace(params=params, seed=seed)
     limit = params.foreclosure_limit()
-    goal = params.goal
-
-    deficient = params.n  # vertices with dM < k (min-degree goal)
-    dsu = _DSU(params.n) if goal != "min-degree" else None
+    goal, k = params.goal, params.k
 
     max_rounds = math.ceil(board.m / (params.a + params.b)) + 1
     decided: GameOutcome | None = None
     round_no = 0
-
-    def maker_won_now() -> bool:
-        if goal == "min-degree":
-            return deficient == 0
-        if dsu.components > 1:
-            return False
-        if goal == "connectivity":
-            return True
-        return (min(board.dM) >= 2
-                and is_hamiltonian(SimpleGraph.from_board(board, Player.MAKER)))
-
     while decided is None:
         round_no += 1
         if round_no > max_rounds:
@@ -164,25 +129,20 @@ def play_game(params: GameParams, maker, breaker, seed: int,
                                               REASON_GOAL_IMPOSSIBLE)
                         break
                     raise
-                if not board.is_free(edge):
+                try:
+                    board.claim(player, edge)
+                except EdgeAlreadyClaimed as exc:
                     raise StrategyViolation(
-                        f"{player.value} returned non-free edge {edge!r}")
-                board.claim(player, edge)
+                        f"{player.value} returned non-free edge {edge!r}"
+                    ) from exc
                 trace.moves.append(MoveRecord(round_no, step_no, player, edge, target))
-                u, v = edge
                 if player is Player.MAKER:
-                    if goal == "min-degree":
-                        if board.dM[u] == params.k:
-                            deficient -= 1
-                        if board.dM[v] == params.k:
-                            deficient -= 1
-                    else:
-                        dsu.union(u, v)
-                    if early_stop and maker_won_now():
+                    if early_stop and detect_maker_win(board, goal, k):
                         decided = GameOutcome(Player.MAKER, round_no,
                                               REASON_GOAL_ACHIEVED)
                         break
                 else:
+                    u, v = edge
                     if early_stop and (board.dB[u] > limit
                                        or board.dB[v] > limit):
                         decided = GameOutcome(Player.BREAKER, round_no,
@@ -191,7 +151,7 @@ def play_game(params: GameParams, maker, breaker, seed: int,
             if decided is not None:
                 break
         if decided is None and board.free_count == 0:
-            achieved = detect_maker_win(board, goal, params.k)
+            achieved = detect_maker_win(board, goal, k)
             decided = GameOutcome(
                 Player.MAKER if achieved else Player.BREAKER,
                 round_no, REASON_BOARD_EXHAUSTED)

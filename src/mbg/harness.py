@@ -369,8 +369,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.trace:
+        if (args.round is None) != (args.vertex is None):
+            raise MBGError("--round and --vertex must be given together")
         trace, _ = read_trace(args.trace)
-        if args.round is not None and args.vertex is not None:
+        if args.round is not None:
             audit = reconstruct_multisets(trace, args.round, args.vertex,
                                           r=args.r)
             report = check_potential_lemmas(audit)

@@ -156,13 +156,15 @@ def ham_stage2_move(board: Board, state: HamMakerState) -> tuple[Edge, int | Non
 
 
 def _lowest_crossing_free_edge(board: Board, comp1, comp2) -> Edge | None:
-    best: Edge | None = None
-    for u in comp1:
-        for v in comp2:
-            e = (u, v) if u < v else (v, u)
-            if board.is_free(e) and (best is None or e < best):
-                best = e
-    return best
+    """The lexicographically lowest free edge with one end in each set."""
+    mask1 = sum(1 << v for v in comp1)
+    mask2 = sum(1 << v for v in comp2)
+    for u in sorted(comp1 + comp2):
+        other = mask2 if mask1 >> u & 1 else mask1
+        ahead = board.free_row(u) & other >> (u + 1) << (u + 1)
+        if ahead:
+            return u, (ahead & -ahead).bit_length() - 1
+    return None
 
 
 def ham_stage3_move(board: Board, state: HamMakerState) -> tuple[Edge, int | None]:

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+from .board import Player, bits
 from .errors import InvalidParams, NotConnected, TooLarge
 
 HAMILTONIAN_CAP = 24
@@ -46,11 +47,11 @@ class SimpleGraph:
         return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
-        return _bits(self.adj[v])
+        return bits(self.adj[v])
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n)
-                for v in _bits(self.adj[u]) if u < v]
+                for v in bits(self.adj[u]) if u < v]
 
     def non_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
@@ -66,17 +67,10 @@ class SimpleGraph:
         return g
 
     @classmethod
-    def from_board(cls, board, player) -> "SimpleGraph":
-        return cls(board.n, board.edges_of(player))
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    def from_board(cls, board, player: Player) -> "SimpleGraph":
+        g = cls(board.n)
+        g.adj = list(board.maker if player is Player.MAKER else board.breaker)
+        return g
 
 
 def min_degree(g: SimpleGraph) -> int:
@@ -90,7 +84,7 @@ def is_connected(g: SimpleGraph) -> bool:
     frontier = 1
     while frontier:
         nxt = 0
-        for v in _bits(frontier):
+        for v in bits(frontier):
             nxt |= g.adj[v]
         frontier = nxt & ~seen
         seen |= frontier
@@ -106,11 +100,11 @@ def connected_components(g: SimpleGraph) -> list[list[int]]:
         frontier = seen
         while frontier:
             nxt = 0
-            for v in _bits(frontier):
+            for v in bits(frontier):
                 nxt |= g.adj[v]
             frontier = nxt & ~seen
             seen |= frontier
-        comps.append(_bits(seen))
+        comps.append(bits(seen))
         unseen &= ~seen
     return comps
 
@@ -126,7 +120,7 @@ def _path_table(adj: list[int], seeds: int, stop: int = 0) -> tuple[list[int], i
     """
     n = len(adj)
     ends = [0] * (1 << n)
-    for v in _bits(seeds):
+    for v in bits(seeds):
         ends[1 << v] = 1 << v
     best = 1
     # A path only reaches larger masks, so each mask is complete when read;
@@ -165,7 +159,7 @@ def _joined_pairs(ends: list[int], shared: int) -> list[int]:
         if tips:
             other = ends[(full ^ mask) | shared]
             if other:
-                for u in _bits(tips):
+                for u in bits(tips):
                     pairs[u] |= other
     return pairs
 
@@ -192,19 +186,6 @@ def longest_path_order(g: SimpleGraph) -> int:
     if n > LONGEST_PATH_CAP:
         raise TooLarge(f"longest_path_order capped at n <= {LONGEST_PATH_CAP}, got {n}")
     return _path_table(g.adj, (1 << n) - 1, stop=n)[1]
-
-
-def external_neighborhood(g: SimpleGraph, vertices) -> set[int]:
-    """N(U): vertices outside U with at least one neighbor inside U."""
-    umask = 0
-    for v in vertices:
-        if not (0 <= v < g.n):
-            raise InvalidParams(f"vertex {v} out of range")
-        umask |= 1 << v
-    nb = 0
-    for v in _bits(umask):
-        nb |= g.adj[v]
-    return set(_bits(nb & ~umask))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import pytest
 
 from mbg.audit import (HARMONIC_GUARD, audit_game, canonical_audit_point,
                        check_potential_lemmas, default_split_point,
-                       degree_cap_exceptions, foreclosed_degree_floor_ok,
+                       foreclosed_degree_floor_ok,
                        harmonic, harmonic_bounds_ok, harmonic_bounds_sweep,
                        losing_round_bound_ok, reconstruct_multisets)
 from mbg.board import GameParams, Player
@@ -242,13 +242,3 @@ class TestTraceHelpers:
         assert report.passed, report.as_text()
         assert losing_round_bound_ok(trace, audit.s)
         assert foreclosed_degree_floor_ok(audit)
-
-    def test_degree_cap_exceptions_on_isolation(self):
-        _, trace = self.isolate_game()
-        assert degree_cap_exceptions(trace, 0.5) == [(1, 0, 6)]
-
-    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.2, 2.0])
-    def test_degree_cap_delta_validation(self, delta):
-        _, trace = self.isolate_game()
-        with pytest.raises(InvalidParams):
-            degree_cap_exceptions(trace, delta)

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 
-from mbg.board import (Board, GameParams, Player, edge_index, edge_list_text,
-                       new_board, normalize_goal, parse_edge_list)
+from mbg.board import (MAX_N, Board, GameParams, Player, new_board,
+                       normalize_goal, parse_edge_list)
 from mbg.errors import EdgeAlreadyClaimed, InvalidParams, NoFreeEdge
+from mbg.oracles import SimpleGraph
 
 
 class TestGameParams:
@@ -48,9 +50,9 @@ def test_edge_index_matches_enumeration_order():
     n = 7
     board = Board(n)
     expected = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for i, (u, v) in enumerate(expected):
-        assert edge_index(n, u, v) == i
-    assert board.free_edges() == expected
+    for i, edge in enumerate(expected):
+        assert board._index(edge) == i
+    assert list(board.free_edges()) == expected
 
 
 class TestBoard:
@@ -61,6 +63,8 @@ class TestBoard:
         assert board.state_of((1, 3)) is Player.MAKER
         assert board.state_of((0, 3)) is Player.BREAKER
         assert board.state_of((0, 1)) is None
+        assert board.maker == [0, 0b1000, 0, 0b10, 0]
+        assert board.breaker == [0b1000, 0, 0, 0b1, 0]
         assert board.dM == [0, 1, 0, 1, 0]
         assert board.dB == [1, 0, 0, 1, 0]
         assert board.free_count == board.m - 2
@@ -84,14 +88,14 @@ class TestBoard:
         board.claim(Player.BREAKER, (2, 3))
         assert board.free_incident_edges(3) == [(0, 3), (1, 3), (3, 4)]
         assert board.lowest_free_incident_edge(3) == (0, 3)
-        assert board.free_degree(3) == 3
+        assert board.free_row(3) == 0b10011
 
     def test_lowest_free_incident_edge_none_when_saturated(self):
         board = Board(3)
         board.claim(Player.BREAKER, (0, 1))
         board.claim(Player.BREAKER, (0, 2))
         assert board.lowest_free_incident_edge(0) is None
-        assert board.free_degree(0) == 0
+        assert board.free_row(0) == 0
 
     def test_lowest_free_edge_scans_lexicographically(self):
         board = Board(4)
@@ -113,8 +117,23 @@ class TestBoard:
         for e in [(2, 4), (0, 3), (1, 2)]:
             board.claim(Player.MAKER, e)
         board.claim(Player.BREAKER, (0, 4))
-        assert board.edges_of(Player.MAKER) == [(0, 3), (1, 2), (2, 4)]
-        assert board.edges_of(Player.BREAKER) == [(0, 4)]
+        maker = SimpleGraph.from_board(board, Player.MAKER)
+        breaker = SimpleGraph.from_board(board, Player.BREAKER)
+        assert maker.edges() == [(0, 3), (1, 2), (2, 4)]
+        assert breaker.edges() == [(0, 4)]
+        # the graph owns a copy of the rows
+        maker.add_edge(0, 1)
+        assert board.maker[0] == 0b1000
+
+    def test_free_edges_are_lazy_and_lexicographic(self):
+        board = Board(5)
+        for e in [(2, 4), (0, 3), (1, 2)]:
+            board.claim(Player.MAKER, e)
+        board.claim(Player.BREAKER, (0, 4))
+        free = board.free_edges()
+        assert next(free) == (0, 1)
+        assert list(free) == [(0, 2), (1, 3), (1, 4), (2, 3), (3, 4)]
+        assert board.lowest_free_edge() == (0, 1)
 
     def test_exhaustion_bookkeeping(self):
         board = Board(3)
@@ -122,7 +141,7 @@ class TestBoard:
         board.claim(Player.BREAKER, (0, 2))
         board.claim(Player.MAKER, (1, 2))
         assert board.free_count == 0
-        assert board.free_edges() == []
+        assert list(board.free_edges()) == []
         with pytest.raises(InvalidParams):
             board.random_free_edge(random.Random(0))
         with pytest.raises(NoFreeEdge):
@@ -132,13 +151,25 @@ class TestBoard:
         with pytest.raises(InvalidParams):
             new_board(2)
 
+    def test_n_beyond_the_cap_rejected_before_any_allocation(self):
+        # a board of MAX_N + 1 vertices would hold about 5 * 10^5 edge
+        # slots (tens of MB); the check must come before the tables
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParams, match=str(MAX_N)):
+                Board(MAX_N + 1)
+            with pytest.raises(InvalidParams, match=str(MAX_N)):
+                GameParams(n=MAX_N + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert GameParams(n=MAX_N).n == MAX_N
+
 
 class TestEdgeListText:
     def test_round_trip(self):
-        edges = [(0, 2), (1, 4), (0, 1)]
-        text = edge_list_text(edges)
-        assert text == "0 1\n0 2\n1 4\n"
-        assert parse_edge_list(text) == sorted(edges)
+        assert parse_edge_list("0 1\n0 2\n1 4\n") == [(0, 1), (0, 2), (1, 4)]
 
     def test_comments_blanks_and_swapped_endpoints(self):
         text = "# header\n\n3 1\n"

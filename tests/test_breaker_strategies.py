@@ -119,7 +119,8 @@ class TestCliqueBuilding:
         plan = clique_building_move(board, params, state)
         assert state.stage == "box"
         assert state.v_star == [3]
-        assert len(state.boxes[3]) == 4  # 10 frozen, 6 played off
+        # 10 frozen, 6 played off: the far ends 8..11 are left
+        assert state.boxes == {3: 0b1111_0000_0000}
         assert plan == [(0, 3), (1, 3), (2, 3), (3, 4), (3, 5), (3, 6)]
 
     def test_box_counts_breaker_edges_at_its_vertex(self):
@@ -132,8 +133,13 @@ class TestCliqueBuilding:
         state = CliquePlanState(h=2, clique=[3, 7])
         plan = clique_building_move(board, params, state)
         assert plan == [(1, 3), (2, 3), (3, 4), (3, 5), (3, 6), (3, 8)]
-        assert state.boxes == {3: [(3, 9)]}
+        assert state.boxes == {3: 1 << 9}
         assert board.dB[3] + 7 == params.foreclosure_limit() + 1
+
+
+def _box(*far_ends):
+    """Row mask of a box: bit w stands for the edge from its vertex to w."""
+    return sum(1 << w for w in far_ends)
 
 
 class TestBoxPlaying:
@@ -143,15 +149,15 @@ class TestBoxPlaying:
     def test_balancing_across_two_boxes(self):
         state = CliquePlanState(
             h=3, stage="box", clique=[0, 1],
-            boxes={0: [(0, 5), (0, 6)], 1: [(1, 5), (1, 6), (1, 7)]})
+            boxes={0: _box(5, 6), 1: _box(5, 6, 7)})
         plan = box_playing_move(Board(8), self.params(), state)
         assert plan == [(1, 5), (0, 5)]
-        assert state.boxes == {0: [(0, 6)], 1: [(1, 6), (1, 7)]}
+        assert state.boxes == {0: _box(6), 1: _box(6, 7)}
         assert state.stage == "box"
 
     def test_emptying_a_box_finishes_its_vertex(self):
         state = CliquePlanState(h=2, stage="box", clique=[4],
-                                boxes={4: [(4, 7)]})
+                                boxes={4: _box(7)})
         plan = box_playing_move(Board(8), self.params(), state)
         assert plan == [(4, 7)]
         assert state.finished_vertex == 4
@@ -162,7 +168,7 @@ class TestBoxPlaying:
         board.claim(Player.MAKER, (0, 5))
         state = CliquePlanState(
             h=3, stage="box", clique=[0, 1],
-            boxes={0: [(0, 5)], 1: [(1, 5), (1, 6)]})
+            boxes={0: _box(5), 1: _box(5, 6)})
         plan = box_playing_move(board, self.params(), state)
         assert plan == [(1, 5), (1, 6)]
         assert state.finished_vertex == 1
@@ -171,7 +177,7 @@ class TestBoxPlaying:
         board = Board(8)
         board.claim(Player.MAKER, (2, 6))
         state = CliquePlanState(h=2, stage="box", clique=[2],
-                                boxes={2: [(2, 6)]})
+                                boxes={2: _box(6)})
         with pytest.raises(BoxesExhausted):
             box_playing_move(board, self.params(), state)
 

@@ -130,7 +130,6 @@ class TestTrace:
             MoveRecord(2, 1, Player.BREAKER, (0, 2)),
             MoveRecord(2, 1, Player.MAKER, (1, 4), target=4),
         ]
-        assert trace.maker_targets() == {1: [2], 2: [4]}
         assert trace.maker_claims() == 2
         assert trace.rounds_played() == 2
 

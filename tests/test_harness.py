@@ -305,6 +305,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "result=PASS" in out
 
+    @pytest.mark.parametrize("flag, value", [("--round", "3"), ("--vertex", "13")])
+    def test_verify_rejects_a_lone_round_or_vertex(self, tmp_path, capsys,
+                                                   flag, value):
+        params = GameParams(n=20, a=1, b=7, k=3)
+        outcome, trace = play_game(params, make_maker("min-deg", params),
+                                   make_breaker("random", params), seed=11)
+        path = tmp_path / "loss.json"
+        write_trace(str(path), trace, outcome=outcome)
+        assert main(["verify", "--trace", str(path), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "--round and --vertex" in captured.err
+        assert captured.out == ""
+
     def test_verify_rejects_a_trace_without_moves(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"params": {"n": 5}, "seed": 0}\n', encoding="utf-8")

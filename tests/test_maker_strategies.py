@@ -124,10 +124,9 @@ class TestMinDegMaker:
         maker = make_maker("min-deg", params)
         breaker = make_breaker("random", params)
         outcome, trace = play_game(params, maker, breaker, seed=4)
-        targets = trace.maker_targets()
-        assert targets  # at least one round
-        for round_targets in targets.values():
-            assert all(t is None or 0 <= t < 10 for t in round_targets)
+        targets = [mv.target for mv in trace.moves if mv.player is Player.MAKER]
+        assert targets  # at least one claim
+        assert all(t is None or 0 <= t < 10 for t in targets)
 
     def test_uses_threshold_degree_not_raw_k(self):
         board = Board(8)

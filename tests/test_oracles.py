@@ -5,9 +5,9 @@ import pytest
 import _naive
 from mbg.errors import InvalidParams, NotConnected, TooLarge
 from mbg.oracles import (HAMILTONIAN_CAP, LONGEST_PATH_CAP, SimpleGraph,
-                         boosters, connected_components, external_neighborhood,
-                         is_connected, is_hamiltonian, is_k_expander,
-                         longest_path_order, min_degree, petersen_graph)
+                         boosters, connected_components, is_connected,
+                         is_hamiltonian, is_k_expander, longest_path_order,
+                         min_degree, petersen_graph)
 
 
 def cycle(n):
@@ -152,11 +152,6 @@ class TestExpander:
             is_k_expander(cycle(4), 1, mode="guess")
         with pytest.raises(InvalidParams):
             is_k_expander(cycle(4), 0)
-
-    def test_external_neighborhood(self):
-        g = path(5)
-        assert external_neighborhood(g, [2]) == {1, 3}
-        assert external_neighborhood(g, [0, 1]) == {2}
 
 
 @pytest.mark.parametrize("seed", range(8))

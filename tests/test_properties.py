@@ -34,7 +34,10 @@ def test_board_degree_accounting(n, seed, claims):
         made += 1
     assert board.free_count == m - made
     assert sum(board.dM) + sum(board.dB) == 2 * made
-    assert sum(board.free_degree(v) for v in range(n)) == 2 * board.free_count
+    assert [row.bit_count() for row in board.maker] == board.dM
+    assert [row.bit_count() for row in board.breaker] == board.dB
+    assert sum(1 for _ in board.free_edges()) == board.free_count
+    assert all(board.is_free(e) for e in board.free_edges())
 
 
 @FAST
