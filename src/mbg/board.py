@@ -13,7 +13,7 @@ its slot in the triangular order: ``u*n - u*(u+1)/2 + (v-u-1)``.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .errors import EdgeAlreadyClaimed, InvalidParams, NoFreeEdge
@@ -55,8 +55,7 @@ class GameParams:
 
     ``a`` is Maker's bias, ``b`` Breaker's; Breaker moves first.  ``k`` is the
     degree target and is only read by the min-degree goal (other goals treat
-    the obstruction degree as 1).  ``epsilon`` and ``delta`` are optional
-    analysis knobs carried along for auditing; they do not affect play.
+    the obstruction degree as 1).
     """
 
     n: int
@@ -64,8 +63,6 @@ class GameParams:
     b: int = 1
     k: int = 1
     goal: str = "min-degree"
-    epsilon: float | None = None
-    delta: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "goal", normalize_goal(self.goal))
@@ -78,13 +75,6 @@ class GameParams:
             raise InvalidParams(f"b must be in [1, {m}], got {self.b}")
         if not (1 <= self.k <= self.n - 1):
             raise InvalidParams(f"k must be in [1, {self.n - 1}], got {self.k}")
-        for name in ("epsilon", "delta"):
-            val = getattr(self, name)
-            if val is not None and not (0.0 < val < 1.0):
-                raise InvalidParams(f"{name} must lie in (0, 1), got {val}")
-        if self.epsilon is not None and self.delta is not None:
-            if not (self.delta < self.epsilon):
-                raise InvalidParams("delta must be smaller than epsilon")
 
     @property
     def edge_total(self) -> int:
@@ -100,27 +90,11 @@ class GameParams:
         return self.n - 1 - self.threshold_degree()
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "b": self.b,
-            "k": self.k,
-            "goal": self.goal,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GameParams":
-        return cls(
-            n=d["n"],
-            a=d.get("a", 1),
-            b=d.get("b", 1),
-            k=d.get("k", 1),
-            goal=d.get("goal", "min-degree"),
-            epsilon=d.get("epsilon"),
-            delta=d.get("delta"),
-        )
+        return cls(n=d["n"], a=d["a"], b=d["b"], k=d["k"], goal=d["goal"])
 
 
 def bits(mask: int) -> list[int]:

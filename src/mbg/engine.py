@@ -1,7 +1,7 @@
 """Game engine: alternating biased moves, early win detection, traces.
 
-A round is one Breaker move (b edge claims) followed by one Maker move
-(a edge claims); Breaker moves first.  Strategies hand the engine one edge
+Moves follow ``move_order``: each round is one Breaker move (b edge claims)
+followed by one Maker move (a edge claims).  Strategies hand the engine one edge
 per step and the board is updated between steps, so a strategy always sees
 the live position.  The engine stops a game the moment its outcome is
 certain and records every claim in a replayable trace.
@@ -9,18 +9,22 @@ certain and records every claim in a replayable trace.
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .board import Board, Edge, GameParams, Player
-from .errors import (EdgeAlreadyClaimed, InvalidParams, MBGError, StageBlocked,
+from .errors import (EdgeAlreadyClaimed, InvalidParams, StageBlocked,
                      StrategyViolation, TraceIncompatible)
 from .oracles import HAMILTONIAN_CAP, SimpleGraph, is_connected, is_hamiltonian
 
 REASON_GOAL_ACHIEVED = "goal-achieved"
 REASON_GOAL_IMPOSSIBLE = "goal-impossible"
 REASON_BOARD_EXHAUSTED = "board-exhausted"
+
+# Version of the trace text; ``trace_from_json`` reads only this one.
+TRACE_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,18 @@ def detect_maker_win(board: Board, goal: str, k: int = 1) -> bool:
     return is_connected(g) if goal == "connectivity" else is_hamiltonian(g)
 
 
+def move_order(a: int, b: int) -> Iterator[tuple[int, Player, int]]:
+    """The (a:b) move order: (round, player, bias) of every move, without end.
+
+    Breaker moves first, and round r is Breaker's move of b claims followed
+    by Maker's move of a claims.  The engine plays in this order and a trace
+    is read back in it.
+    """
+    for round_no in itertools.count(1):
+        yield round_no, Player.BREAKER, b
+        yield round_no, Player.MAKER, a
+
+
 def play_game(params: GameParams, maker, breaker, seed: int,
               early_stop: bool = True) -> tuple[GameOutcome, GameTrace]:
     """Play one game to its decision.
@@ -95,75 +111,58 @@ def play_game(params: GameParams, maker, breaker, seed: int,
     if params.goal == "hamiltonicity" and params.n > HAMILTONIAN_CAP:
         raise InvalidParams(
             f"hamiltonicity games need n <= {HAMILTONIAN_CAP} for exact detection")
-    rng = random.Random(seed)
-    board = Board(params.n)
     trace = GameTrace(params=params, seed=seed)
+    strategies = {Player.BREAKER: breaker, Player.MAKER: maker}
+    winner, decisive_round, reason = _play(params, Board(params.n), trace,
+                                           strategies, random.Random(seed),
+                                           early_stop)
+    flags = tuple("strategy-infeasible" for strat in (maker, breaker)
+                  if getattr(strat, "infeasible_reason", None))
+    return GameOutcome(winner, decisive_round, reason, flags), trace
+
+
+def _play(params: GameParams, board: Board, trace: GameTrace, strategies,
+          rng, early_stop: bool) -> tuple[Player, int, str]:
+    """(winner, decisive round, reason) of the game played on ``board``.
+
+    Each step claims one free edge or raises, so the board is exhausted
+    within m claims.
+    """
     limit = params.foreclosure_limit()
     goal, k = params.goal, params.k
-
-    max_rounds = math.ceil(board.m / (params.a + params.b)) + 1
-    decided: GameOutcome | None = None
-    round_no = 0
-    while decided is None:
-        round_no += 1
-        if round_no > max_rounds:
-            raise MBGError("round limit exceeded; engine or strategy bug")
-        for player, bias, strategy in (
-            (Player.BREAKER, params.b, breaker),
-            (Player.MAKER, params.a, maker),
-        ):
+    moves = trace.moves
+    for round_no, player, bias in move_order(params.a, params.b):
+        if board.free_count == 0:
+            achieved = detect_maker_win(board, goal, k)
+            return (Player.MAKER if achieved else Player.BREAKER,
+                    trace.rounds_played(), REASON_BOARD_EXHAUSTED)
+        strategy = strategies[player]
+        strategy.begin_move(board, rng)
+        for step_no in range(1, bias + 1):
             if board.free_count == 0:
                 break
-            strategy.begin_move(board, rng)
-            for step_no in range(1, bias + 1):
-                if board.free_count == 0:
-                    break
-                try:
-                    edge, target = strategy.step(board, rng)
-                except StageBlocked:
-                    if player is Player.MAKER:
-                        # Maker's own plan proves the goal unreachable
-                        # (e.g. all crossing edges between his components
-                        # are gone), so the game is over.
-                        decided = GameOutcome(Player.BREAKER, round_no,
-                                              REASON_GOAL_IMPOSSIBLE)
-                        break
-                    raise
-                try:
-                    board.claim(player, edge)
-                except EdgeAlreadyClaimed as exc:
-                    raise StrategyViolation(
-                        f"{player.value} returned non-free edge {edge!r}"
-                    ) from exc
-                trace.moves.append(MoveRecord(round_no, step_no, player, edge, target))
+            try:
+                edge, target = strategy.step(board, rng)
+            except StageBlocked:
                 if player is Player.MAKER:
-                    if early_stop and detect_maker_win(board, goal, k):
-                        decided = GameOutcome(Player.MAKER, round_no,
-                                              REASON_GOAL_ACHIEVED)
-                        break
-                else:
-                    u, v = edge
-                    if early_stop and (board.dB[u] > limit
-                                       or board.dB[v] > limit):
-                        decided = GameOutcome(Player.BREAKER, round_no,
-                                              REASON_GOAL_IMPOSSIBLE)
-                        break
-            if decided is not None:
-                break
-        if decided is None and board.free_count == 0:
-            achieved = detect_maker_win(board, goal, k)
-            decided = GameOutcome(
-                Player.MAKER if achieved else Player.BREAKER,
-                round_no, REASON_BOARD_EXHAUSTED)
-
-    flags = []
-    for strat in (maker, breaker):
-        reason = getattr(strat, "infeasible_reason", None)
-        if reason:
-            flags.append("strategy-infeasible")
-    decided = GameOutcome(decided.winner, decided.decisive_round,
-                          decided.reason, tuple(flags))
-    return decided, trace
+                    # Maker's own plan proves the goal unreachable (e.g. all
+                    # crossing edges between his components are gone).
+                    return Player.BREAKER, round_no, REASON_GOAL_IMPOSSIBLE
+                raise
+            try:
+                board.claim(player, edge)
+            except EdgeAlreadyClaimed as exc:
+                raise StrategyViolation(
+                    f"{player.value} returned non-free edge {edge!r}"
+                ) from exc
+            moves.append(MoveRecord(round_no, step_no, player, edge, target))
+            if player is Player.MAKER:
+                if early_stop and detect_maker_win(board, goal, k):
+                    return Player.MAKER, round_no, REASON_GOAL_ACHIEVED
+            else:
+                u, v = edge
+                if early_stop and (board.dB[u] > limit or board.dB[v] > limit):
+                    return Player.BREAKER, round_no, REASON_GOAL_IMPOSSIBLE
 
 
 def replay_trace(trace: GameTrace) -> Board:
@@ -175,20 +174,14 @@ def replay_trace(trace: GameTrace) -> Board:
 
 
 def trace_to_json(trace: GameTrace, outcome: GameOutcome | None = None) -> str:
+    """Format-2 text of a trace: one ``[u, v]`` or ``[u, v, target]`` row per
+    claim, in ``move_order``; round, step and player follow from (a, b)."""
     doc = {
+        "format": TRACE_FORMAT,
         "params": trace.params.as_dict(),
         "seed": trace.seed,
-        "moves": [
-            {
-                "round": mv.round,
-                "step": mv.step,
-                "player": mv.player.value,
-                "u": mv.edge[0],
-                "v": mv.edge[1],
-                "target": mv.target,
-            }
-            for mv in trace.moves
-        ],
+        "moves": [[*mv.edge] if mv.target is None else [*mv.edge, mv.target]
+                  for mv in trace.moves],
     }
     if outcome is not None:
         doc["outcome"] = {
@@ -197,41 +190,36 @@ def trace_to_json(trace: GameTrace, outcome: GameOutcome | None = None) -> str:
             "reason": outcome.reason,
             "flags": list(outcome.flags),
         }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
     """Parse a trace written by ``trace_to_json``.
 
-    Raises TraceIncompatible when the text is not JSON, a key is missing or
-    holds a value of the wrong type, a vertex is not an int, or the moves
-    leave engine order: round 1 opens with Breaker's step 1, and each later
-    move continues its player's steps up to that player's bias, passes from
-    Breaker to Maker's step 1, or opens the next round with Breaker's step 1.
+    Each row is matched with the next claim of ``move_order(a, b)``.
+    Raises TraceIncompatible when the text is not a JSON object of the
+    current format, a key is missing or holds a value of the wrong type, or
+    a row is not two vertices and an optional target, all ints.
     """
     try:
         doc = json.loads(text)
+        if not isinstance(doc, dict) or doc.get("format") != TRACE_FORMAT:
+            raise TraceIncompatible(
+                f"not a format-{TRACE_FORMAT} trace; play the game again "
+                "to write one")
         params = GameParams.from_dict(doc["params"])
         trace = GameTrace(params=params, seed=doc["seed"])
-        players = {p.value: p for p in Player}
-        bias = {Player.BREAKER: params.b, Player.MAKER: params.a}
-        rnd, player, step = 0, Player.MAKER, 0
-        for m in doc["moves"]:
-            at = (m["round"], players.get(m["player"]), m["step"])
-            if not ((at == (rnd, player, step + 1) and step < bias[player])
-                    or at == (rnd + 1, Player.BREAKER, 1)
-                    or (at == (rnd, Player.MAKER, 1)
-                        and player is Player.BREAKER)):
+        claims = ((rnd, step, player)
+                  for rnd, player, bias in move_order(params.a, params.b)
+                  for step in range(1, bias + 1))
+        for row, (rnd, step, player) in zip(doc["moves"], claims):
+            if (type(row) is not list or not 2 <= len(row) <= 3
+                    or any(type(x) is not int for x in row)):
                 raise TraceIncompatible(
-                    f"move {len(trace.moves)} (round {at[0]!r}, player "
-                    f"{m['player']!r}, step {at[2]!r}) is out of engine order")
-            rnd, player, step = at
-            u, v, target = m["u"], m["v"], m.get("target")
-            if (type(u) is not int or type(v) is not int
-                    or not (target is None or type(target) is int)):
-                raise TraceIncompatible(
-                    f"move {len(trace.moves)} has a non-integer vertex")
-            trace.moves.append(MoveRecord(rnd, step, player, (u, v), target))
+                    f"move {len(trace.moves)} is not a row of 2 or 3 ints")
+            trace.moves.append(MoveRecord(
+                rnd, step, player, (row[0], row[1]),
+                row[2] if len(row) == 3 else None))
         outcome = None
         if "outcome" in doc:
             o = doc["outcome"]

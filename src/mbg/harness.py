@@ -169,20 +169,21 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 def _estimate_threshold(cells: list[CellResult]
                         ) -> tuple[int | None, float | None]:
+    """Bias of the last cell Maker wins at least half of, and the linear
+    crossing of 0.5 between it and the next cell.
+
+    (None, None) when the crossing is not bracketed: no cell reaches 0.5, or
+    the top cell still does.
+    """
     last = None
     for index, cell in enumerate(cells):
         if cell.win_rate >= 0.5:
             last = index
-    if last is None:
+    if last is None or last + 1 == len(cells):
         return None, None
-    estimated = cells[last].b
-    interpolated = None
-    if last + 1 < len(cells):
-        lo, hi = cells[last], cells[last + 1]
-        if lo.win_rate != hi.win_rate:
-            frac = (lo.win_rate - 0.5) / (lo.win_rate - hi.win_rate)
-            interpolated = lo.b + frac * (hi.b - lo.b)
-    return estimated, interpolated
+    lo, hi = cells[last], cells[last + 1]
+    frac = (lo.win_rate - 0.5) / (lo.win_rate - hi.win_rate)
+    return lo.b, lo.b + frac * (hi.b - lo.b)
 
 
 def write_sweep_csv(result: SweepResult, path: str) -> None:
@@ -290,9 +291,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               f"infeasible={cell.infeasible} fallback={cell.fallback}")
     est = result.estimated_threshold
     interp = result.interpolated_threshold
-    print(f"estimated_threshold={est if est is not None else 'none'} "
-          f"interpolated={f'{interp:.4f}' if interp is not None else 'none'} "
-          f"reference_curve={result.reference_curve:.4f}")
+    crossing = (f"estimated_threshold={est} interpolated={interp:.4f}"
+                if est is not None else
+                "estimated_threshold=not-bracketed interpolated=not-bracketed")
+    print(f"{crossing} reference_curve={result.reference_curve:.4f}")
     return 0
 
 

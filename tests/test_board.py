@@ -22,9 +22,6 @@ class TestGameParams:
         dict(n=5, k=0),
         dict(n=5, k=5),
         dict(n=5, goal="domination"),
-        dict(n=5, epsilon=1.5),
-        dict(n=5, delta=0.0),
-        dict(n=5, epsilon=0.1, delta=0.2),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidParams):
@@ -36,8 +33,7 @@ class TestGameParams:
         assert GameParams(n=9, k=3, goal="hamiltonicity").threshold_degree() == 1
 
     def test_dict_round_trip(self):
-        p = GameParams(n=12, a=2, b=5, k=2, goal="min-degree", epsilon=0.3,
-                       delta=0.1)
+        p = GameParams(n=12, a=2, b=5, k=2, goal="min-degree")
         assert GameParams.from_dict(p.as_dict()) == p
 
     def test_goal_aliases(self):

@@ -1,11 +1,14 @@
+import itertools
+
 import pytest
 
 import _naive
 from mbg.board import Board, GameParams, Player
 from mbg.engine import (GameOutcome, GameTrace, MoveRecord,
                         REASON_BOARD_EXHAUSTED, REASON_GOAL_ACHIEVED,
-                        REASON_GOAL_IMPOSSIBLE, detect_maker_win, play_game,
-                        replay_trace, trace_from_json, trace_to_json)
+                        REASON_GOAL_IMPOSSIBLE, detect_maker_win, move_order,
+                        play_game, replay_trace, trace_from_json,
+                        trace_to_json)
 from mbg.errors import InvalidParams, StrategyViolation, TraceIncompatible
 from mbg.harness import trial_seed
 from mbg.maker_strategies import make_maker
@@ -50,6 +53,20 @@ class TestDetection:
 
 
 class TestPlayGame:
+    def test_move_order_is_breaker_then_maker_each_round(self):
+        assert list(itertools.islice(move_order(2, 3), 4)) == [
+            (1, Player.BREAKER, 3), (1, Player.MAKER, 2),
+            (2, Player.BREAKER, 3), (2, Player.MAKER, 2)]
+
+    def test_claims_follow_the_move_order(self):
+        _, trace = run(n=20, a=2, b=3, seed=4, early_stop=False)
+        claims = [(rnd, step, player)
+                  for rnd, player, bias in itertools.islice(move_order(2, 3),
+                                                            2 * 190)
+                  for step in range(1, bias + 1)]
+        assert [(mv.round, mv.step, mv.player) for mv in trace.moves] == \
+            claims[:190]
+
     def test_deterministic_in_seed(self):
         (out1, tr1), (out2, tr2) = run(seed=42), run(seed=42)
         assert out1 == out2
@@ -155,16 +172,44 @@ class TestTrace:
         assert back.moves == trace.moves
         assert back_outcome is None
 
+    def test_rows_take_round_step_and_player_from_the_move_order(self):
+        text = ('{"format":2,"params":{"n":5,"a":2,"b":1,"k":1,'
+                '"goal":"min-degree"},"seed":0,'
+                '"moves":[[0,1],[2,3,2],[1,4],[0,2]]}')
+        trace, outcome = trace_from_json(text)
+        assert trace.moves == [
+            MoveRecord(1, 1, Player.BREAKER, (0, 1)),
+            MoveRecord(1, 1, Player.MAKER, (2, 3), target=2),
+            MoveRecord(1, 2, Player.MAKER, (1, 4)),
+            MoveRecord(2, 1, Player.BREAKER, (0, 2)),
+        ]
+        assert outcome is None
+
+    def test_rows_are_compact(self):
+        _, trace = run(n=40, b=8, seed=3, early_stop=False)
+        text = trace_to_json(trace)
+        assert text.startswith('{"format":2,')
+        assert len(text) <= 20 * len(trace.moves)
+
     @pytest.mark.parametrize("text", [
         "not json", "[]", '{"params": {"n": 5}, "seed": 0}',
-        '{"params": {"n": 5}, "seed": 0, "moves": [{"round": 1}]}',
+        # a format-1 document: no format key, one object per claim
         '{"params": {"n": 5}, "seed": 0, "moves": [{"round": 1, "step": 1, '
-        '"player": "Nobody", "u": 0, "v": 1}]}',
-        '{"params": {"n": 5}, "seed": 0, "moves": [{"round": 1, "step": 1, '
-        '"player": "Maker", "u": 0, "v": 1}]}',
-        '{"params": {"n": 5}, "seed": 0, "moves": [{"round": 1, "step": 1, '
-        '"player": "Breaker", "u": 0, "v": 1}, {"round": 1, "step": 2, '
-        '"player": "Breaker", "u": 0, "v": 2}]}',
+        '"player": "Breaker", "u": 0, "v": 1, "target": null}]}',
+        '{"format": 3, "params": {"n": 5, "a": 1, "b": 1, "k": 1, '
+        '"goal": "min-degree"}, "seed": 0, "moves": []}',
+        '{"format": 2, "params": {"n": 5, "a": 1, "b": 1, '
+        '"goal": "min-degree"}, "seed": 0, "moves": []}',
+        '{"format": 2, "params": {"n": 5, "a": 1, "b": 1, "k": 1, '
+        '"goal": "min-degree"}, "seed": 0}',
+        '{"format": 2, "params": {"n": 5, "a": 1, "b": 1, "k": 1, '
+        '"goal": "min-degree"}, "seed": 0, "moves": [[0]]}',
+        '{"format": 2, "params": {"n": 5, "a": 1, "b": 1, "k": 1, '
+        '"goal": "min-degree"}, "seed": 0, "moves": [[0, 1, 2, 3]]}',
+        '{"format": 2, "params": {"n": 5, "a": 1, "b": 1, "k": 1, '
+        '"goal": "min-degree"}, "seed": 0, "moves": [[0, "1"]]}',
+        '{"format": 2, "params": {"n": 5, "a": 1, "b": 1, "k": 1, '
+        '"goal": "min-degree"}, "seed": 0, "moves": [[0, 1, null]]}',
     ])
     def test_malformed_json_is_incompatible(self, text):
         with pytest.raises(TraceIncompatible):

@@ -17,7 +17,7 @@ from mbg.errors import MBGError, StrategyInfeasible
 from mbg.harness import SweepSpec, run_sweep, trial_seed
 from mbg.maker_strategies import make_maker
 
-GOLDEN_DIGEST = "b937cf19fd6b05cb0b765dec438e627e1ce6f5c4ab16731ecbe73f3f19d8572e"
+GOLDEN_DIGEST = "2d02d402bbc2abbaf3c190e6e22aa07cf347402771a2cedb939fb2a23c9c1836"
 
 GOALS = (("min-degree", 1), ("min-degree", 2), ("connectivity", 1))
 

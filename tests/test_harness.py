@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -104,9 +106,10 @@ class TestThresholdEstimate:
         assert interp == pytest.approx(3.25)
 
     def test_open_ended_when_final_cell_is_above_half(self):
-        est, interp = _estimate_threshold(self.cells([1.0, 0.9]))
-        assert est == 2
-        assert interp is None
+        assert _estimate_threshold(self.cells([1.0, 0.4, 0.6])) == (None, None)
+
+    def test_every_cell_won_is_not_bracketed(self):
+        assert _estimate_threshold(self.cells([1.0, 1.0, 0.9])) == (None, None)
 
 
 class TestRunSweep:
@@ -253,6 +256,22 @@ class TestCli:
         assert lines[2].startswith("estimated_threshold=")
         assert "reference_curve=" in lines[2]
 
+    def test_sweep_says_when_the_crossing_is_not_bracketed(self, capsys):
+        assert main(["sweep", "--n", "20", "--trials", "3",
+                     "--b-values", "1,2", "--seed", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].startswith("estimated_threshold=not-bracketed ")
+
+    def test_python_dash_m_runs_clean(self):
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "mbg", "simulate", "--n", "20", "--b", "3"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert done.stdout.startswith("winner=")
+
     def test_boxgame_f_with_lower_bound(self, capsys):
         assert main(["boxgame", "f", "--k", "5", "--p", "5", "--q", "2",
                      "--lower"]) == 0
@@ -324,14 +343,15 @@ class TestCli:
         assert main(["verify", "--trace", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("u", "0"), ("round", 5)])
+    @pytest.mark.parametrize("column, value", [
+        pytest.param(0, "0", id="u-0"), pytest.param(2, 1.5, id="target-1.5")])
     def test_verify_rejects_a_malformed_first_move(self, tmp_path, capsys,
-                                                   key, value):
+                                                   column, value):
         params = GameParams(n=20, a=1, b=7, k=3)
         outcome, trace = play_game(params, make_maker("min-deg", params),
                                    make_breaker("random", params), seed=11)
         doc = json.loads(trace_to_json(trace, outcome))
-        doc["moves"][0][key] = value
+        doc["moves"][0][column:column + 1] = [value]
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify", "--trace", str(path)]) == 2
