@@ -151,20 +151,52 @@ class PotentialAudit:
     avg_b: dict[int, Fraction] = field(default_factory=dict)
 
 
-def _replay(trace: GameTrace):
-    """Yield each move with the board as it stands just before its claim.
-
-    The claim lands when the next move is requested, so a consumer that
-    stops early holds the position after the last move it let through.
-    """
-    board = new_board(trace.params.n)
-    for mv in trace.moves:
-        yield mv, board
-        board.claim(mv.player, mv.edge)
-
-
 def _shot(board) -> DegreeSnapshot:
     return DegreeSnapshot(tuple(board.dM), tuple(board.dB))
+
+
+def _replay(trace: GameTrace, s: int | None = None):
+    """Replay ``trace`` once on a fresh board.
+
+    Returns (point, s, snap_b, snap_m, targets, breaker_edges).  ``point``
+    is the first foreclosure: the round and vertex of the first Breaker
+    claim that lifts dB(v) past ``params.foreclosure_limit()``, or None.
+    Through round s, the foreclosure round when s is None, the replay also
+    collects the snapshots before each round and before each Maker move,
+    the Maker targets and the round of every Breaker edge, then stops.
+    With s None it also stops once every dM(v) >= k: from then on
+    dB(v) <= n-1-dM(v) keeps every vertex within the limit.
+    """
+    params = trace.params
+    k, limit = params.threshold_degree(), params.foreclosure_limit()
+    point = None
+    snap_b, snap_m, targets, breaker_edges = {}, {}, {}, []
+    below_k = params.n
+    board = new_board(params.n)
+    for mv in trace.moves:
+        if (below_k == 0 if s is None else mv.round > s):
+            break
+        if mv.round not in snap_b:
+            snap_b[mv.round] = _shot(board)
+        maker = mv.player is Player.MAKER
+        if maker and mv.round not in snap_m:
+            snap_m[mv.round] = _shot(board)
+        board.claim(mv.player, mv.edge)
+        if maker:
+            targets.setdefault(mv.round, []).append(mv.target)
+            below_k -= sum(board.dM[v] == k for v in mv.edge)
+        else:
+            breaker_edges.append((mv.round, *mv.edge))
+            for v in mv.edge:
+                if point is None and board.dB[v] > limit:
+                    point = mv.round, v
+                    if s is None:
+                        s = mv.round
+    if s is not None and s not in snap_m:
+        # Round s ended during Breaker's claims; the final position doubles
+        # as the "before Maker" instant since Maker never got to move.
+        snap_m[s] = _shot(board)
+    return point, s, snap_b, snap_m, targets, breaker_edges
 
 
 def reconstruct_multisets(trace: GameTrace, s: int, vS: int,
@@ -177,9 +209,6 @@ def reconstruct_multisets(trace: GameTrace, s: int, vS: int,
     per-claim targets for every Maker move of rounds 1..s-1 (the min-degree
     strategy records them; a fallback claim or a different strategy leaves
     them as None and the trace cannot be audited).
-
-    One forward replay through round s collects the degree snapshots, the
-    Maker targets and the round of every Breaker edge.
     """
     params = trace.params
     if not (1 <= s <= trace.rounds_played()):
@@ -187,31 +216,19 @@ def reconstruct_multisets(trace: GameTrace, s: int, vS: int,
             f"audited round {s} outside trace range 1..{trace.rounds_played()}")
     if not (0 <= vS < params.n):
         raise InvalidParams(f"vertex {vS} out of range for n={params.n}")
+    _, *replayed = _replay(trace, s)
+    return _rebuild(trace, vS, r, *replayed)
+
+
+def _rebuild(trace: GameTrace, vS: int, r: int | None, s: int, snap_b,
+             snap_m, targets, breaker_edges) -> PotentialAudit:
+    """The audit of vS in round s from what ``_replay`` collected."""
+    params = trace.params
     k = params.threshold_degree()
     if r is None:
         r = default_split_point(params.n, params.a)
     if r < 1:
         raise InvalidParams(f"split parameter must be >= 1, got {r}")
-
-    snap_b: dict[int, DegreeSnapshot] = {}
-    snap_m: dict[int, DegreeSnapshot] = {}
-    targets: dict[int, list[int | None]] = {}
-    breaker_edges: list[tuple[int, int, int]] = []
-    for mv, board in _replay(trace):
-        if mv.round > s:
-            break
-        if mv.round not in snap_b:
-            snap_b[mv.round] = _shot(board)
-        if mv.player is Player.MAKER:
-            if mv.round not in snap_m:
-                snap_m[mv.round] = _shot(board)
-            targets.setdefault(mv.round, []).append(mv.target)
-        else:
-            breaker_edges.append((mv.round, *mv.edge))
-    if s not in snap_m:
-        # Round s ended during Breaker's claims; the final position doubles
-        # as the "before Maker" instant since Maker never got to move.
-        snap_m[s] = _shot(board)
     if snap_b[s].dM[vS] > k - 1:
         raise InvalidParams(
             f"vertex {vS} already has Maker degree {snap_b[s].dM[vS]} in "
@@ -395,24 +412,17 @@ def canonical_audit_point(trace: GameTrace) -> tuple[int, int] | None:
     k.  Returns None if the trace never forecloses anything (Maker won or
     the game was cut short).
     """
-    limit = trace.params.foreclosure_limit()
-    for mv, board in _replay(trace):
-        if mv.player is Player.BREAKER:
-            for v in mv.edge:
-                # board is the position before this claim, which adds 1 to dB(v)
-                if board.dB[v] + 1 > limit:
-                    return mv.round, v
-    return None
+    return _replay(trace)[0]
 
 
 def audit_game(trace: GameTrace, r: int | None = None
                ) -> tuple[PotentialAudit, AuditReport] | None:
-    """Audit a finished game at its canonical foreclosure point."""
-    point = canonical_audit_point(trace)
+    """Audit a finished game at its canonical foreclosure point, from one
+    replay that finds the point and collects what the audit needs."""
+    point, *replayed = _replay(trace)
     if point is None:
         return None
-    s, vS = point
-    audit = reconstruct_multisets(trace, s, vS, r=r)
+    audit = _rebuild(trace, point[1], r, *replayed)
     return audit, check_potential_lemmas(audit)
 
 

@@ -28,10 +28,6 @@ class Player(Enum):
     MAKER = "Maker"
     BREAKER = "Breaker"
 
-    @property
-    def opponent(self) -> "Player":
-        return Player.BREAKER if self is Player.MAKER else Player.MAKER
-
 
 GOALS = ("min-degree", "connectivity", "hamiltonicity")
 

@@ -198,8 +198,9 @@ def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
 
     Each row is matched with the next claim of ``move_order(a, b)``.
     Raises TraceIncompatible when the text is not a JSON object of the
-    current format, a key is missing or holds a value of the wrong type, or
-    a row is not two vertices and an optional target, all ints.
+    current format, a key is missing or holds a value of the wrong type, a
+    row is not two vertices and an optional target, all ints, or a target
+    is not one of its row's two vertices.
     """
     try:
         doc = json.loads(text)
@@ -217,6 +218,9 @@ def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
                     or any(type(x) is not int for x in row)):
                 raise TraceIncompatible(
                     f"move {len(trace.moves)} is not a row of 2 or 3 ints")
+            if row[2:] and row[2] not in row[:2]:
+                raise TraceIncompatible(
+                    f"move {len(trace.moves)} targets {row[2]}, not an endpoint")
             trace.moves.append(MoveRecord(
                 rnd, step, player, (row[0], row[1]),
                 row[2] if len(row) == 3 else None))

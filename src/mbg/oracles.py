@@ -8,6 +8,7 @@ Graphs are simple and undirected, stored as per-vertex adjacency bitmasks.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,6 +18,7 @@ from .errors import InvalidParams, NotConnected, TooLarge
 HAMILTONIAN_CAP = 24
 LONGEST_PATH_CAP = 20
 EXPANDER_SUBSET_CAP = 10**7
+EXPANDER_SAMPLES = 20_000
 
 
 class SimpleGraph:
@@ -45,9 +47,6 @@ class SimpleGraph:
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> list[int]:
-        return bits(self.adj[v])
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n)
@@ -195,49 +194,33 @@ class ExpanderCheck:
     exhaustive: bool
 
 
-def is_k_expander(g: SimpleGraph, k: int, mode: str = "auto",
-                  samples: int = 20000, rng=None) -> ExpanderCheck:
-    """Check |N(U)| >= 2|U| for every vertex set U with 1 <= |U| <= k.
+def is_k_expander(g: SimpleGraph, k: int) -> ExpanderCheck:
+    """Check |N(U) \\ U| >= 2|U| for every vertex set U with 1 <= |U| <= k.
 
-    Exhaustive enumeration when the subset count fits under the cap;
-    otherwise a one-sided random sample ("no violation found").
+    Exhaustive enumeration when there are at most EXPANDER_SUBSET_CAP such
+    sets; otherwise a one-sided check of EXPANDER_SAMPLES random sets drawn
+    with ``random.Random(0)`` ("no violation found").
     """
-    if not (1 <= k):
+    if k < 1:
         raise InvalidParams(f"k must be >= 1, got {k}")
-    n = g.n
-    total = sum(math.comb(n, size) for size in range(1, min(k, n) + 1))
-    if mode not in ("auto", "exhaustive", "sample"):
-        raise InvalidParams(f"unknown mode {mode!r}")
-    if mode == "exhaustive" and total > EXPANDER_SUBSET_CAP:
-        raise TooLarge(
-            f"{total} subsets exceed exhaustive cap {EXPANDER_SUBSET_CAP}")
-    exhaustive = mode == "exhaustive" or (mode == "auto" and total <= EXPANDER_SUBSET_CAP)
-    adj = g.adj
+    n, top = g.n, min(k, g.n)
+    exhaustive = (sum(math.comb(n, size) for size in range(1, top + 1))
+                  <= EXPANDER_SUBSET_CAP)
     if exhaustive:
-        for size in range(1, min(k, n) + 1):
-            need = 2 * size
-            for combo in combinations(range(n), size):
-                umask = 0
-                nb = 0
-                for v in combo:
-                    umask |= 1 << v
-                    nb |= adj[v]
-                if (nb & ~umask).bit_count() < need:
-                    return ExpanderCheck(False, frozenset(combo), True)
-        return ExpanderCheck(True, None, True)
-    import random as _random
-    rng = rng or _random.Random(0)
-    for _ in range(samples):
-        size = rng.randint(1, min(k, n))
-        combo = rng.sample(range(n), size)
-        umask = 0
-        nb = 0
+        subsets = (combo for size in range(1, top + 1)
+                   for combo in combinations(range(n), size))
+    else:
+        rng = random.Random(0)
+        subsets = (rng.sample(range(n), rng.randint(1, top))
+                   for _ in range(EXPANDER_SAMPLES))
+    for combo in subsets:
+        umask = nb = 0
         for v in combo:
             umask |= 1 << v
-            nb |= adj[v]
-        if (nb & ~umask).bit_count() < 2 * size:
-            return ExpanderCheck(False, frozenset(combo), False)
-    return ExpanderCheck(True, None, False)
+            nb |= g.adj[v]
+        if (nb & ~umask).bit_count() < 2 * len(combo):
+            return ExpanderCheck(False, frozenset(combo), exhaustive)
+    return ExpanderCheck(True, None, exhaustive)
 
 
 @dataclass(frozen=True)

@@ -171,7 +171,7 @@ def test_criterion_06_oracles_agree_with_naive_search():
             booster_sets += 1
             assert set(boosters(g).edges) == _naive.booster_edges(n, edges)
         for k in (1, 2):
-            check = is_k_expander(g, k, mode="exhaustive")
+            check = is_k_expander(g, k)
             assert check.exhaustive
             assert check.holds == _naive.expands_by_two(n, edges, k)
             if check.holds:
@@ -179,7 +179,8 @@ def test_criterion_06_oracles_agree_with_naive_search():
                 assert all(len(c) >= 3 * k for c in connected_components(g))
     pete = petersen_graph()
     assert not is_hamiltonian(pete)
-    assert is_k_expander(pete, 1, mode="exhaustive").holds
+    pete_check = is_k_expander(pete, 1)
+    assert pete_check.exhaustive and pete_check.holds
     assert len(boosters(pete).edges) == 30
     print(f"[criterion 6] 500 graphs agree with naive search "
           f"({booster_sets} booster sets, {certified} certified expanders); "

@@ -11,14 +11,17 @@ from fractions import Fraction
 
 import pytest
 
-from mbg.audit import (HARMONIC_GUARD, audit_game, canonical_audit_point,
-                       check_potential_lemmas, default_split_point,
+from mbg.audit import (HARMONIC_GUARD, DegreeSnapshot, audit_game,
+                       canonical_audit_point, check_potential_lemmas,
+                       default_split_point,
                        foreclosed_degree_floor_ok,
                        harmonic, harmonic_bounds_ok, harmonic_bounds_sweep,
                        losing_round_bound_ok, reconstruct_multisets)
-from mbg.board import GameParams, Player
-from mbg.engine import GameTrace, MoveRecord, play_game
+from mbg.board import Board, GameParams, Player
+from mbg.engine import (GameTrace, MoveRecord, play_game, replay_trace,
+                        write_trace)
 from mbg.errors import InvalidParams, TraceIncompatible
+from mbg.harness import main
 from mbg.breaker_strategies import IsolateBreaker, make_breaker
 from mbg.maker_strategies import MinDegMaker, make_maker
 
@@ -242,3 +245,74 @@ class TestTraceHelpers:
         assert report.passed, report.as_text()
         assert losing_round_bound_ok(trace, audit.s)
         assert foreclosed_degree_floor_ok(audit)
+
+
+class TestSinglePass:
+    def loss(self, early_stop=True):
+        params = GameParams(n=20, a=1, b=6, k=2)
+        return play_game(params, make_maker("min-deg", params),
+                         make_breaker("random", params), seed=0,
+                         early_stop=early_stop)
+
+    def counting_board(self, monkeypatch):
+        claims = []
+
+        class CountingBoard(Board):
+            def claim(self, player, edge):
+                claims.append(edge)
+                super().claim(player, edge)
+
+        monkeypatch.setattr("mbg.audit.new_board", CountingBoard)
+        return claims
+
+    def test_audit_game_claims_each_move_once(self, monkeypatch):
+        _, trace = self.loss()
+        claims = self.counting_board(monkeypatch)
+        assert audit_game(trace) is not None
+        assert 0 < len(claims) <= len(trace.moves)
+
+    def test_played_out_win_replays_until_maker_holds_degree_k(self,
+                                                               monkeypatch):
+        params = GameParams(n=20, a=1, b=2, k=2)
+        outcome, trace = play_game(params, make_maker("min-deg", params),
+                                   make_breaker("random", params), seed=0,
+                                   early_stop=False)
+        won, early = play_game(params, make_maker("min-deg", params),
+                               make_breaker("random", params), seed=0)
+        assert outcome.winner is won.winner is Player.MAKER
+        claims = self.counting_board(monkeypatch)
+        assert audit_game(trace) is None
+        # after the claim that gives Maker minimum degree k nothing can
+        # be foreclosed, and the early-stopped game ends at that claim
+        assert len(claims) == len(early.moves) < len(trace.moves)
+
+    def test_played_out_loss_is_audited_at_its_foreclosure(self, tmp_path,
+                                                           capsys):
+        # the early-stopped trace ends at the foreclosing claim; the
+        # played-out one goes on, so the replay must stop by itself
+        early_outcome, early = self.loss()
+        outcome, trace = self.loss(early_stop=False)
+        assert outcome.winner is Player.BREAKER
+        point = canonical_audit_point(early)
+        assert point[0] == early_outcome.decisive_round
+        assert trace.rounds_played() > point[0]
+
+        audit, report = audit_game(trace)
+        s, vS = point
+        assert (audit.s, audit.vS) == point
+        first_maker = next(i for i, mv in enumerate(trace.moves)
+                           if mv.round == s and mv.player is Player.MAKER)
+        board = replay_trace(GameTrace(trace.params, trace.seed,
+                                       trace.moves[:first_maker]))
+        assert audit.snap_m[s] == DegreeSnapshot(tuple(board.dM),
+                                                 tuple(board.dB))
+
+        path = tmp_path / "played-out.json"
+        write_trace(path, trace, outcome)
+        code = main(["verify", "--trace", str(path)])
+        assert code == (0 if report.passed else 1)
+        canonical = capsys.readouterr().out
+        assert canonical == report.as_text() + "\n"
+        assert main(["verify", "--trace", str(path), "--round", str(s),
+                     "--vertex", str(vS)]) == code
+        assert capsys.readouterr().out == canonical

@@ -343,15 +343,22 @@ class TestCli:
         assert main(["verify", "--trace", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("column, value", [
-        pytest.param(0, "0", id="u-0"), pytest.param(2, 1.5, id="target-1.5")])
+    @pytest.mark.parametrize("player, column, value", [
+        pytest.param("breaker", 0, "0", id="u-0"),
+        pytest.param("breaker", 0, 999, id="u-999"),
+        pytest.param("breaker", 2, 1.5, id="target-1.5"),
+        # a target that is not an endpoint of its row's edge
+        pytest.param("maker", 2, -1, id="maker-target--1"),
+        pytest.param("maker", 2, 999, id="maker-target-999")])
     def test_verify_rejects_a_malformed_first_move(self, tmp_path, capsys,
-                                                   column, value):
+                                                   player, column, value):
         params = GameParams(n=20, a=1, b=7, k=3)
         outcome, trace = play_game(params, make_maker("min-deg", params),
                                    make_breaker("random", params), seed=11)
         doc = json.loads(trace_to_json(trace, outcome))
-        doc["moves"][0][column:column + 1] = [value]
+        # round 1 opens with Breaker's b claims, then Maker's first
+        row = params.b if player == "maker" else 0
+        doc["moves"][row][column:column + 1] = [value]
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify", "--trace", str(path)]) == 2

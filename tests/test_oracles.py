@@ -3,6 +3,7 @@ import random
 import pytest
 
 import _naive
+from mbg import oracles
 from mbg.errors import InvalidParams, NotConnected, TooLarge
 from mbg.oracles import (HAMILTONIAN_CAP, LONGEST_PATH_CAP, SimpleGraph,
                          boosters, connected_components, is_connected,
@@ -149,9 +150,14 @@ class TestExpander:
 
     def test_mode_validation(self):
         with pytest.raises(InvalidParams):
-            is_k_expander(cycle(4), 1, mode="guess")
-        with pytest.raises(InvalidParams):
             is_k_expander(cycle(4), 0)
+
+    def test_sampled_check_above_the_subset_cap(self, monkeypatch):
+        # C_4 has 10 subsets of size <= 2; every pair sees only two others
+        monkeypatch.setattr(oracles, "EXPANDER_SUBSET_CAP", 9)
+        check = is_k_expander(cycle(4), 2)
+        assert not check.holds and not check.exhaustive
+        assert len(check.witness) == 2
 
 
 @pytest.mark.parametrize("seed", range(8))
