@@ -199,8 +199,9 @@ def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
     Each row is matched with the next claim of ``move_order(a, b)``.
     Raises TraceIncompatible when the text is not a JSON object of the
     current format, a key is missing or holds a value of the wrong type, a
-    row is not two vertices and an optional target, all ints, or a target
-    is not one of its row's two vertices.
+    row is not two vertices and an optional target, all ints, a row's
+    vertices are not ``0 <= u < v < n`` (the order the board stores), or a
+    target is not one of its row's two vertices.
     """
     try:
         doc = json.loads(text)
@@ -218,6 +219,10 @@ def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
                     or any(type(x) is not int for x in row)):
                 raise TraceIncompatible(
                     f"move {len(trace.moves)} is not a row of 2 or 3 ints")
+            if not 0 <= row[0] < row[1] < params.n:
+                raise TraceIncompatible(
+                    f"move {len(trace.moves)} is ({row[0]}, {row[1]}), "
+                    f"not 0 <= u < v < {params.n}")
             if row[2:] and row[2] not in row[:2]:
                 raise TraceIncompatible(
                     f"move {len(trace.moves)} targets {row[2]}, not an endpoint")

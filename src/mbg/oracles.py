@@ -145,21 +145,35 @@ def _path_table(adj: list[int], seeds: int, stop: int = 0) -> tuple[list[int], i
     return ends, best
 
 
-def _joined_pairs(ends: list[int], shared: int) -> list[int]:
-    """``pairs[u]``: the v with u in ends[S] and v in ends[(V - S) | shared].
+def _joined_pairs(ends: list[int], shared: int, deficit: int) -> list[int]:
+    """``pairs[u]``: the v such that a path over S ends at u, a path over T
+    ends at v, S and T meet exactly in ``shared``, and S | T misses exactly
+    ``deficit`` vertices.
 
-    Two paths that meet only in ``shared`` and together cover every vertex
-    join their endpoints u and v into one spanning path (``shared`` = 0)
-    or, through the common start vertex 0, into one Hamilton path.
+    For each S, every T that drops ``deficit`` vertices of V - S is tried.
+    The relation is symmetric and one of S and T holds at least half of
+    the |S| + |T| vertices, so only that side is enumerated and ``pairs``
+    is made symmetric at the end.
     """
     full = len(ends) - 1
-    pairs = [0] * full.bit_length()
+    n = full.bit_length()
+    need = n - deficit + shared.bit_count()
+    half = (need + 1) // 2
+    pairs = [0] * n
     for mask, tips in enumerate(ends):
-        if tips:
-            other = ends[(full ^ mask) | shared]
+        if tips and half <= mask.bit_count() < need:
+            rest = full ^ mask
+            drops = (map(sum, combinations([1 << v for v in bits(rest)], deficit))
+                     if deficit else (0,))
+            other = 0
+            for drop in drops:
+                other |= ends[(rest ^ drop) | shared]
             if other:
                 for u in bits(tips):
                     pairs[u] |= other
+    for u in range(n):
+        for v in bits(pairs[u]):
+            pairs[v] |= 1 << u
     return pairs
 
 
@@ -238,19 +252,19 @@ def boosters(g: SimpleGraph) -> BoosterSet:
     longer longest path than G.  A Hamiltonian input has no boosters by
     convention; the flag says why the set is empty.
 
-    Three cases, each exact:
+    Two cases, each exact:
 
     1. G has a Hamilton path but no Hamilton cycle.  Then uv is a booster
        exactly when a Hamilton path joins u and v.  Every Hamilton path
        passes through vertex 0, so it splits into two paths from 0, one
        over S and one over (V - S) + 0; the vertex-0 table of
        ``is_hamiltonian`` lists both.
-    2. The longest path has n-1 vertices.  A spanning path of G+uv is a
-       path over S ending at u, the edge uv, and a path over V - S
-       starting at v, so one all-start table lists every booster.
-    3. The longest path is shorter.  Each non-edge gets one DP on G+uv
-       that stops at the first path longer than G's; a Hamilton cycle of
-       G+uv would already be such a path.
+    2. The longest path has ``base`` < n vertices.  A path of G+uv with
+       base + 1 vertices must use uv, so it is a path over some S ending
+       at u, the edge uv, and a path over a disjoint T starting at v, with
+       |S| + |T| = base + 1; a Hamilton cycle of G+uv contains such a path.
+       Paths can be shortened, so one all-start table, joined with T
+       dropping n - 1 - base vertices of V - S, lists every booster.
     """
     if not is_connected(g):
         raise NotConnected("boosters are defined for connected graphs only")
@@ -262,18 +276,13 @@ def boosters(g: SimpleGraph) -> BoosterSet:
     ends, _ = _path_table(adj, 1)
     if n > 2 and ends[full] & adj[0]:
         return BoosterSet(frozenset(), True)
-    pairs = _joined_pairs(ends, 1)
+    pairs = _joined_pairs(ends, 1, 0)
     if not any(pairs):
         del ends  # keep one 2^n table alive at a time
-        ends, base = _path_table(adj, full, stop=n)
-        pairs = _joined_pairs(ends, 0) if base == n - 1 else None
-    del ends
-    if pairs is not None:
-        found = [(u, v) for u, v in g.non_edges() if pairs[u] >> v & 1]
-    else:
-        found = [(u, v) for u, v in g.non_edges()
-                 if _path_table(g.with_edge(u, v).adj, full, stop=base + 1)[1] > base]
-    return BoosterSet(frozenset(found), False)
+        ends, base = _path_table(adj, full)
+        pairs = _joined_pairs(ends, 0, n - 1 - base)
+    return BoosterSet(frozenset((u, v) for u, v in g.non_edges()
+                                if pairs[u] >> v & 1), False)
 
 
 def petersen_graph() -> SimpleGraph:

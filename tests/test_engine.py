@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -210,10 +211,28 @@ class TestTrace:
         '"goal": "min-degree"}, "seed": 0, "moves": [[0, "1"]]}',
         '{"format": 2, "params": {"n": 5, "a": 1, "b": 1, "k": 1, '
         '"goal": "min-degree"}, "seed": 0, "moves": [[0, 1, null]]}',
+        # vertices outside 0 <= u < v < n
+        '{"format": 2, "params": {"n": 5, "a": 1, "b": 1, "k": 1, '
+        '"goal": "min-degree"}, "seed": 0, "moves": [[1, 0]]}',
+        '{"format": 2, "params": {"n": 5, "a": 1, "b": 1, "k": 1, '
+        '"goal": "min-degree"}, "seed": 0, "moves": [[2, 2]]}',
+        '{"format": 2, "params": {"n": 5, "a": 1, "b": 1, "k": 1, '
+        '"goal": "min-degree"}, "seed": 0, "moves": [[-1, 2]]}',
+        '{"format": 2, "params": {"n": 5, "a": 1, "b": 1, "k": 1, '
+        '"goal": "min-degree"}, "seed": 0, "moves": [[0, 5]]}',
     ])
     def test_malformed_json_is_incompatible(self, text):
         with pytest.raises(TraceIncompatible):
             trace_from_json(text)
+
+    def test_out_of_range_last_row_names_its_move(self):
+        outcome, trace = run(n=20, b=7, k=3, seed=11)
+        doc = json.loads(trace_to_json(trace, outcome))
+        last = len(doc["moves"]) - 1
+        doc["moves"][last][:2] = [999, 14]
+        with pytest.raises(TraceIncompatible,
+                           match=rf"move {last} is \(999, 14\)"):
+            trace_from_json(json.dumps(doc))
 
     def test_empty_trace_counts(self):
         trace = GameTrace(params=GameParams(n=5), seed=0)

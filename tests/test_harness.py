@@ -364,6 +364,22 @@ class TestCli:
         assert main(["verify", "--trace", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_verify_rejects_an_out_of_range_last_move(self, tmp_path, capsys):
+        # a spot check of round 2 never replays the last row
+        params = GameParams(n=20, a=1, b=7, k=3)
+        outcome, trace = play_game(params, make_maker("min-deg", params),
+                                   make_breaker("random", params), seed=11)
+        doc = json.loads(trace_to_json(trace, outcome))
+        doc["moves"][-1][:2] = [999, 14]
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", "--trace", str(path),
+                     "--round", "2", "--vertex", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"move {len(doc['moves']) - 1} is (999, 14), "
+                "not 0 <= u < v < 20") in captured.err
+
     def test_verify_random_games_mode(self, capsys):
         assert main(["verify", "--random-games", "5", "--n", "14",
                      "--b", "5", "--k", "2", "--seed", "1"]) == 0

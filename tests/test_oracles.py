@@ -27,6 +27,22 @@ def complete(n):
     return SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
+def bipartite(s, t):
+    """K_{s,t} with sides 0..s-1 and s..s+t-1."""
+    return SimpleGraph(s + t, [(u, s + v) for u in range(s) for v in range(t)])
+
+
+def spider(*legs):
+    """Paths of the given lengths from a centre 0, numbered leg by leg."""
+    edges, nxt = [], 1
+    for leg in legs:
+        prev = 0
+        for _ in range(leg):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return SimpleGraph(nxt, edges)
+
+
 class TestSimpleGraph:
     def test_edge_accounting(self):
         g = SimpleGraph(4, [(0, 1), (2, 3)])
@@ -121,6 +137,37 @@ class TestBoosters:
         found = boosters(g)
         assert found == _naive.boosters_by_edge(g)
         assert found.edges == frozenset(expected)
+
+    # deficit: vertices a path one longer than G's longest still misses
+    @pytest.mark.parametrize("g, deficit", [
+        (spider(3, 3, 1, 1), 1),
+        (bipartite(2, 6), 2),
+        (spider(2, 2, 1, 1, 1, 1), 3),
+        (bipartite(3, 9), 4),
+        (bipartite(5, 8), 1),
+    ], ids=["spider-3311", "K2,6", "spider-221111", "K3,9", "K5,8"])
+    def test_deficit_join_matches_the_per_edge_reference(self, g, deficit):
+        assert g.n - 1 - longest_path_order(g) == deficit
+        found = boosters(g)
+        assert found.edges
+        assert found == _naive.boosters_by_edge(g)
+
+    def test_booster_with_only_a_short_lower_side(self):
+        # spider(1, 2, 2): leaf 1 and legs 0-2-3, 0-4-5.  The only path of
+        # G + 25 longer than G's is 3-2-5-4-0-1.  Its side ending at 2 has
+        # 2 of its 6 vertices, fewer than half, so the join reaches (2, 5)
+        # only from the side ending at 5, by making the pairs symmetric.
+        g = spider(1, 2, 2)
+        found = boosters(g)
+        assert (2, 5) in found.edges
+        assert found == _naive.boosters_by_edge(g)
+
+    @pytest.mark.parametrize("s, t", [(5, 8), (6, 9)])
+    def test_bipartite_boosters_are_the_pairs_in_the_larger_side(self, s, t):
+        found = boosters(bipartite(s, t))
+        assert found.edges == {(u, v) for u in range(s, s + t)
+                               for v in range(u + 1, s + t)}
+        assert not found.already_hamiltonian
 
     def test_disconnected_rejected(self):
         with pytest.raises(NotConnected):
