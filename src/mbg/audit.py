@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
-from .board import Player, new_board
+from .board import MAKER, new_board
 from .engine import GameTrace
 from .errors import InvalidParams, TraceIncompatible
 
@@ -173,25 +173,28 @@ def _replay(trace: GameTrace, s: int | None = None):
     snap_b, snap_m, targets, breaker_edges = {}, {}, {}, []
     below_k = params.n
     board = new_board(params.n)
-    for mv in trace.moves:
-        if (below_k == 0 if s is None else mv.round > s):
+    claim, dM, dB = board.claim, board.dM, board.dB
+    for rnd, _, player, edge, target in trace.moves:
+        if (below_k == 0 if s is None else rnd > s):
             break
-        if mv.round not in snap_b:
-            snap_b[mv.round] = _shot(board)
-        maker = mv.player is Player.MAKER
-        if maker and mv.round not in snap_m:
-            snap_m[mv.round] = _shot(board)
-        board.claim(mv.player, mv.edge)
+        if rnd not in snap_b:
+            snap_b[rnd] = _shot(board)
+        maker = player is MAKER
+        if maker and rnd not in snap_m:
+            snap_m[rnd] = _shot(board)
+        claim(player, edge)
+        u, v = edge
         if maker:
-            targets.setdefault(mv.round, []).append(mv.target)
-            below_k -= sum(board.dM[v] == k for v in mv.edge)
+            targets.setdefault(rnd, []).append(target)
+            below_k -= (dM[u] == k) + (dM[v] == k)
         else:
-            breaker_edges.append((mv.round, *mv.edge))
-            for v in mv.edge:
-                if point is None and board.dB[v] > limit:
-                    point = mv.round, v
-                    if s is None:
-                        s = mv.round
+            breaker_edges.append((rnd, u, v))
+            if point is None and (dB[u] > limit or dB[v] > limit):
+                # One edge can lift both endpoints past the limit; u is
+                # checked first, so the lower endpoint is the one audited.
+                point = rnd, (u if dB[u] > limit else v)
+                if s is None:
+                    s = rnd
     if s is not None and s not in snap_m:
         # Round s ended during Breaker's claims; the final position doubles
         # as the "before Maker" instant since Maker never got to move.

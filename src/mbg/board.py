@@ -7,7 +7,9 @@ Freeness comes from a free-edge pool, and per-vertex degree counters for
 both players keep the hot paths of the simulator O(1) per claim.
 
 Edges are plain ``(u, v)`` tuples with ``u < v``.  The pool keys an edge by
-its slot in the triangular order: ``u*n - u*(u+1)/2 + (v-u-1)``.
+its slot in the triangular order: ``u*n - u*(u+1)/2 + (v-u-1)``.  Boards of
+the same n share one immutable slot-to-edge table; only the last n's table
+is kept.
 """
 
 from __future__ import annotations
@@ -15,18 +17,26 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import combinations
 
 from .errors import EdgeAlreadyClaimed, InvalidParams, NoFreeEdge
 
 Edge = tuple[int, int]
 
-# Largest board: the slot tables grow as n^2 (about 87 MB at n = 1000).
+# Largest board: the slot tables grow as n^2 (about 53 MB for the first board
+# at n = 1000, 23 MB for each further one, which shares the edge table).
 MAX_N = 1000
 
 
 class Player(Enum):
     MAKER = "Maker"
     BREAKER = "Breaker"
+
+
+# Looking up an enum member is slow on Python 3.11 (EnumType defines
+# __getattr__), so the per-claim paths compare with this alias.
+MAKER = Player.MAKER
 
 
 GOALS = ("min-degree", "connectivity", "hamiltonicity")
@@ -103,6 +113,12 @@ def bits(mask: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=1)
+def _edge_table(n: int) -> tuple[Edge, ...]:
+    """Every edge of K_n in slot order, shared by the boards of one n."""
+    return tuple(combinations(range(n), 2))
+
+
 class Board:
     """Mutable claim state of K_n's edge set."""
 
@@ -117,18 +133,16 @@ class Board:
         self.maker = [0] * n
         self.breaker = [0] * n
         self._full = (1 << n) - 1
-        self._edges: list[Edge] = [
-            (u, v) for u in range(n) for v in range(u + 1, n)
-        ]
+        self._edges = _edge_table(n)
         self.dM = [0] * n
         self.dB = [0] * n
         # Free pool with positional index, so claims are O(1) and uniform
         # sampling needs no scan.  The first free_count slots of _free are the
         # free edges, in arbitrary order after removals; a claimed slot moves
         # just past them, so an edge is free iff its position is below
-        # free_count.
+        # free_count.  Both start as the identity and share its int objects.
         self._free = list(range(self.m))
-        self._free_pos = list(range(self.m))
+        self._free_pos = self._free.copy()
         self.free_count = self.m
 
     def _index(self, edge: Edge) -> int:
@@ -150,8 +164,13 @@ class Board:
         """Give ``edge`` to ``player``.
 
         Raises EdgeAlreadyClaimed (board untouched) if the edge is taken.
+        The slot is ``_index``'s, computed inline on this hot path.
         """
-        idx = self._index(edge)
+        u, v = edge
+        n = self.n
+        if not (0 <= u < v < n):
+            raise InvalidParams(f"edge {edge!r} is not a valid pair on {n} vertices")
+        idx = u * n - u * (u + 1) // 2 + (v - u - 1)
         free, free_pos = self._free, self._free_pos
         pos = free_pos[idx]
         count = self.free_count - 1
@@ -159,17 +178,14 @@ class Board:
             raise EdgeAlreadyClaimed(
                 f"edge {edge!r} already belongs to {self.state_of(edge).value}"
             )
-        u, v = edge
-        if player is Player.MAKER:
-            self.maker[u] |= 1 << v
-            self.maker[v] |= 1 << u
-            self.dM[u] += 1
-            self.dM[v] += 1
+        if player is MAKER:
+            rows, degree = self.maker, self.dM
         else:
-            self.breaker[u] |= 1 << v
-            self.breaker[v] |= 1 << u
-            self.dB[u] += 1
-            self.dB[v] += 1
+            rows, degree = self.breaker, self.dB
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        degree[u] += 1
+        degree[v] += 1
         last = free[count]
         free[pos] = last
         free_pos[last] = pos
@@ -203,8 +219,9 @@ class Board:
         raise NoFreeEdge("board exhausted")
 
     def random_free_edge(self, rng) -> Edge:
+        """A uniformly random free edge; NoFreeEdge when none is."""
         if self.free_count == 0:
-            raise InvalidParams("no free edge left")
+            raise NoFreeEdge("board exhausted")
         return self._edges[self._free[rng.randrange(self.free_count)]]
 
     def free_edges(self) -> Iterator[Edge]:

@@ -13,6 +13,7 @@ import itertools
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .board import Board, Edge, GameParams, Player
 from .errors import (EdgeAlreadyClaimed, InvalidParams, StageBlocked,
@@ -27,8 +28,9 @@ REASON_BOARD_EXHAUSTED = "board-exhausted"
 TRACE_FORMAT = 2
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
+    """One claim of a trace; a named tuple, so a record costs one tuple."""
+
     round: int
     step: int
     player: Player
@@ -137,6 +139,7 @@ def _play(params: GameParams, board: Board, trace: GameTrace, strategies,
             return (Player.MAKER if achieved else Player.BREAKER,
                     trace.rounds_played(), REASON_BOARD_EXHAUSTED)
         strategy = strategies[player]
+        maker = player is Player.MAKER
         strategy.begin_move(board, rng)
         for step_no in range(1, bias + 1):
             if board.free_count == 0:
@@ -144,7 +147,7 @@ def _play(params: GameParams, board: Board, trace: GameTrace, strategies,
             try:
                 edge, target = strategy.step(board, rng)
             except StageBlocked:
-                if player is Player.MAKER:
+                if maker:
                     # Maker's own plan proves the goal unreachable (e.g. all
                     # crossing edges between his components are gone).
                     return Player.BREAKER, round_no, REASON_GOAL_IMPOSSIBLE
@@ -156,7 +159,7 @@ def _play(params: GameParams, board: Board, trace: GameTrace, strategies,
                     f"{player.value} returned non-free edge {edge!r}"
                 ) from exc
             moves.append(MoveRecord(round_no, step_no, player, edge, target))
-            if player is Player.MAKER:
+            if maker:
                 if early_stop and detect_maker_win(board, goal, k):
                     return Player.MAKER, round_no, REASON_GOAL_ACHIEVED
             else:
@@ -180,8 +183,8 @@ def trace_to_json(trace: GameTrace, outcome: GameOutcome | None = None) -> str:
         "format": TRACE_FORMAT,
         "params": trace.params.as_dict(),
         "seed": trace.seed,
-        "moves": [[*mv.edge] if mv.target is None else [*mv.edge, mv.target]
-                  for mv in trace.moves],
+        "moves": [[u, v] if target is None else [u, v, target]
+                  for _, _, _, (u, v), target in trace.moves],
     }
     if outcome is not None:
         doc["outcome"] = {
@@ -199,9 +202,10 @@ def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
     Each row is matched with the next claim of ``move_order(a, b)``.
     Raises TraceIncompatible when the text is not a JSON object of the
     current format, a key is missing or holds a value of the wrong type, a
-    row is not two vertices and an optional target, all ints, a row's
-    vertices are not ``0 <= u < v < n`` (the order the board stores), or a
-    target is not one of its row's two vertices.
+    row is not a list of two vertices and an optional target, all ints (a
+    bool or a float is not one), a row's vertices are not ``0 <= u < v < n``
+    (the order the board stores), or a target is not one of its row's two
+    vertices; a row failing several of these is reported by the first.
     """
     try:
         doc = json.loads(text)
@@ -214,21 +218,25 @@ def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
         claims = ((rnd, step, player)
                   for rnd, player, bias in move_order(params.a, params.b)
                   for step in range(1, bias + 1))
+        n, moves = params.n, trace.moves
         for row, (rnd, step, player) in zip(doc["moves"], claims):
-            if (type(row) is not list or not 2 <= len(row) <= 3
-                    or any(type(x) is not int for x in row)):
+            if type(row) is list and len(row) == 2:
+                u, v = row
+                target = None
+            elif type(row) is list and len(row) == 3 and type(row[2]) is int:
+                u, v, target = row
+            else:
+                u = v = None
+            if type(u) is not int or type(v) is not int:
                 raise TraceIncompatible(
-                    f"move {len(trace.moves)} is not a row of 2 or 3 ints")
-            if not 0 <= row[0] < row[1] < params.n:
+                    f"move {len(moves)} is not a row of 2 or 3 ints")
+            if not 0 <= u < v < n:
                 raise TraceIncompatible(
-                    f"move {len(trace.moves)} is ({row[0]}, {row[1]}), "
-                    f"not 0 <= u < v < {params.n}")
-            if row[2:] and row[2] not in row[:2]:
+                    f"move {len(moves)} is ({u}, {v}), not 0 <= u < v < {n}")
+            if target is not None and target != u and target != v:
                 raise TraceIncompatible(
-                    f"move {len(trace.moves)} targets {row[2]}, not an endpoint")
-            trace.moves.append(MoveRecord(
-                rnd, step, player, (row[0], row[1]),
-                row[2] if len(row) == 3 else None))
+                    f"move {len(moves)} targets {target}, not an endpoint")
+            moves.append(MoveRecord(rnd, step, player, (u, v), target))
         outcome = None
         if "outcome" in doc:
             o = doc["outcome"]

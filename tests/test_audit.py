@@ -247,6 +247,31 @@ class TestTraceHelpers:
         assert foreclosed_degree_floor_ok(audit)
 
 
+class TestForeclosureTie:
+    """One Breaker edge lifts both of its endpoints past the limit at once.
+
+    n = 5, k = 2, so the limit is n-1-k = 2.  Entering round 2, dB(1) and
+    dB(2) are both 2; Breaker's edge (1, 2) lifts both to 3 together.
+    """
+
+    def fixture(self):
+        return scripted_trace(
+            n=5, a=1, b=3, k=2,
+            rounds=[
+                ([(1, 3), (1, 4), (2, 3)], [((0, 1), 1)]),
+                ([(2, 4), (1, 2)], []),
+            ])
+
+    def test_lower_endpoint_is_the_foreclosure_point(self):
+        assert canonical_audit_point(self.fixture()) == (2, 1)
+
+    def test_audit_game_audits_the_lower_endpoint(self):
+        audit, report = audit_game(self.fixture())
+        assert (audit.s, audit.vS) == (2, 1)
+        assert (report.s, report.vS) == (2, 1)
+        assert audit.snap_m[2].dB[1] == audit.snap_m[2].dB[2] == 3
+
+
 class TestSinglePass:
     def loss(self, early_stop=True):
         params = GameParams(n=20, a=1, b=6, k=2)

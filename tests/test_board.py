@@ -138,7 +138,7 @@ class TestBoard:
         board.claim(Player.MAKER, (1, 2))
         assert board.free_count == 0
         assert list(board.free_edges()) == []
-        with pytest.raises(InvalidParams):
+        with pytest.raises(NoFreeEdge):
             board.random_free_edge(random.Random(0))
         with pytest.raises(NoFreeEdge):
             board.lowest_free_edge()

@@ -16,6 +16,12 @@ from mbg.maker_strategies import make_maker
 from mbg.breaker_strategies import make_breaker
 
 
+def rows_text(rows):
+    """A format-2 trace on five vertices, (1:1), with the given move rows."""
+    return ('{"format": 2, "params": {"n": 5, "a": 1, "b": 1, "k": 1, '
+            '"goal": "min-degree"}, "seed": 0, "moves": ' + rows + '}')
+
+
 def run(n=12, a=1, b=2, k=1, goal="min-degree", maker="min-deg",
         breaker="random", seed=0, **kwargs):
     params = GameParams(n=n, a=a, b=b, k=k, goal=goal)
@@ -220,10 +226,48 @@ class TestTrace:
         '"goal": "min-degree"}, "seed": 0, "moves": [[-1, 2]]}',
         '{"format": 2, "params": {"n": 5, "a": 1, "b": 1, "k": 1, '
         '"goal": "min-degree"}, "seed": 0, "moves": [[0, 5]]}',
+        # rows that are not lists
+        rows_text('["01"]'), rows_text('[{"u": 0}]'),
+        # bool and float vertices and targets
+        rows_text('[[true, 2]]'), rows_text('[[0, 1.0]]'),
+        rows_text('[[0, 1, true]]'), rows_text('[[0, 1, 1.0]]'),
+        # a target that is not an endpoint of its row
+        rows_text('[[0, 1, 3]]'),
     ])
     def test_malformed_json_is_incompatible(self, text):
         with pytest.raises(TraceIncompatible):
             trace_from_json(text)
+
+    @pytest.mark.parametrize("rows, message", [
+        ('[["a", 1, 5]]', "move 0 is not a row of 2 or 3 ints"),
+        ('[[0, 1], [true, 2]]', "move 1 is not a row of 2 or 3 ints"),
+        ('[[0, 1, 3]]', "move 0 targets 3, not an endpoint"),
+        ('[[3, 1, 5]]', r"move 0 is \(3, 1\), not 0 <= u < v < 5"),
+    ])
+    def test_row_checks_keep_their_precedence(self, rows, message):
+        # a row's types are checked before its range, its range before
+        # its target
+        with pytest.raises(TraceIncompatible, match=message):
+            trace_from_json(rows_text(rows))
+
+    @pytest.mark.parametrize("params, maker, options, seed, winner", [
+        (GameParams(n=20, b=7, k=3), "min-deg", {}, 11, Player.BREAKER),
+        (GameParams(n=14, b=2, goal="hamiltonicity"), "ham-3stage",
+         {"degree_target": 2}, trial_seed(21, 0, 0), Player.MAKER),
+    ])
+    def test_round_trip_keeps_records_and_targets(self, params, maker,
+                                                  options, seed, winner):
+        outcome, trace = play_game(
+            params, make_maker(maker, params, **options),
+            make_breaker("random", params), seed=seed)
+        assert outcome.winner is winner
+        back, back_outcome = trace_from_json(trace_to_json(trace, outcome))
+        assert back.moves == trace.moves
+        assert back_outcome == outcome
+        assert all(type(mv) is MoveRecord for mv in back.moves)
+        assert all(mv.target is None or type(mv.target) is int
+                   for mv in back.moves)
+        assert any(mv.target is not None for mv in back.moves)
 
     def test_out_of_range_last_row_names_its_move(self):
         outcome, trace = run(n=20, b=7, k=3, seed=11)
