@@ -21,10 +21,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 
-from .board import MAKER, new_board
+from .board import MAKER
+from .board import new_board  # noqa: F401  unused; bench/tracing.py patches it
 from .engine import GameTrace
-from .errors import InvalidParams, TraceIncompatible
+from .errors import EdgeAlreadyClaimed, InvalidParams, TraceIncompatible
 
 # One-sided slack for comparisons against float logarithms.
 LOG_TOLERANCE = 1e-9
@@ -151,55 +153,80 @@ class PotentialAudit:
     avg_b: dict[int, Fraction] = field(default_factory=dict)
 
 
-def _shot(board) -> DegreeSnapshot:
-    return DegreeSnapshot(tuple(board.dM), tuple(board.dB))
-
-
 def _replay(trace: GameTrace, s: int | None = None):
-    """Replay ``trace`` once on a fresh board.
+    """Replay ``trace`` once on degree counters.
 
-    Returns (point, s, snap_b, snap_m, targets, breaker_edges).  ``point``
-    is the first foreclosure: the round and vertex of the first Breaker
-    claim that lifts dB(v) past ``params.foreclosure_limit()``, or None.
-    Through round s, the foreclosure round when s is None, the replay also
-    collects the snapshots before each round and before each Maker move,
-    the Maker targets and the round of every Breaker edge, then stops.
-    With s None it also stops once every dM(v) >= k: from then on
+    Returns (point, s, snap_b, snap_m, targets, breaker_edges, reach).
+    ``point`` is the first foreclosure: the round and vertex of the first
+    Breaker claim that lifts dB(v) past ``params.foreclosure_limit()``, or
+    None.  Through round s, the foreclosure round when s is None, the replay
+    also collects the snapshots before each round and before each Maker
+    move, the Maker targets of each round, the round of every Breaker edge
+    and ``reach[v]``, the round in which dM(v) reached k, then stops.  With
+    s None it also stops once every dM(v) >= k: from then on
     dB(v) <= n-1-dM(v) keeps every vertex within the limit.
+
+    A flag per vertex pair, at u*n + v, records the claimed edges, so a
+    repeated edge raises EdgeAlreadyClaimed and a pair that is not
+    0 <= u < v < n raises InvalidParams, as a board would.
     """
     params = trace.params
-    k, limit = params.threshold_degree(), params.foreclosure_limit()
+    n, k, limit = params.n, params.threshold_degree(), params.foreclosure_limit()
     point = None
     snap_b, snap_m, targets, breaker_edges = {}, {}, {}, []
-    below_k = params.n
-    board = new_board(params.n)
-    claim, dM, dB = board.claim, board.dM, board.dB
-    for rnd, _, player, edge, target in trace.moves:
-        if (below_k == 0 if s is None else rnd > s):
-            break
-        if rnd not in snap_b:
-            snap_b[rnd] = _shot(board)
-        maker = player is MAKER
-        if maker and rnd not in snap_m:
-            snap_m[rnd] = _shot(board)
-        claim(player, edge)
-        u, v = edge
-        if maker:
-            targets.setdefault(rnd, []).append(target)
-            below_k -= (dM[u] == k) + (dM[v] == k)
+    below_k = n
+    dM, dB, claimed = [0] * n, [0] * n, bytearray(n * n)
+    reach = [math.inf] * n  # never reached k
+
+    def shot():
+        return DegreeSnapshot(tuple(dM), tuple(dB))
+
+    stop = math.inf if s is None else s
+    round_b = round_m = 0
+    for rnd, _, player, (u, v), target in trace.moves:
+        if rnd != round_b:
+            if rnd > stop:
+                break
+            round_b = rnd
+            snap_b[rnd] = shot()
+        if not 0 <= u < v < n:
+            raise InvalidParams(
+                f"edge {(u, v)!r} is not a valid pair on {n} vertices")
+        slot = u * n + v
+        if claimed[slot]:
+            raise EdgeAlreadyClaimed(f"edge {(u, v)!r} is claimed twice")
+        claimed[slot] = 1
+        if player is MAKER:
+            if rnd != round_m:
+                round_m = rnd
+                snap_m[rnd] = shot()
+                round_targets = targets[rnd] = []
+            round_targets.append(target)
+            du = dM[u] = dM[u] + 1
+            dv = dM[v] = dM[v] + 1
+            if du == k:
+                reach[u] = rnd
+                below_k -= 1
+            if dv == k:
+                reach[v] = rnd
+                below_k -= 1
+            if below_k == 0 and s is None:
+                break
         else:
             breaker_edges.append((rnd, u, v))
-            if point is None and (dB[u] > limit or dB[v] > limit):
+            du = dB[u] = dB[u] + 1
+            dv = dB[v] = dB[v] + 1
+            if (du > limit or dv > limit) and point is None:
                 # One edge can lift both endpoints past the limit; u is
                 # checked first, so the lower endpoint is the one audited.
-                point = rnd, (u if dB[u] > limit else v)
+                point = rnd, (u if du > limit else v)
                 if s is None:
-                    s = rnd
+                    s = stop = rnd
     if s is not None and s not in snap_m:
         # Round s ended during Breaker's claims; the final position doubles
         # as the "before Maker" instant since Maker never got to move.
-        snap_m[s] = _shot(board)
-    return point, s, snap_b, snap_m, targets, breaker_edges
+        snap_m[s] = shot()
+    return point, s, snap_b, snap_m, targets, breaker_edges, reach
 
 
 def reconstruct_multisets(trace: GameTrace, s: int, vS: int,
@@ -224,8 +251,14 @@ def reconstruct_multisets(trace: GameTrace, s: int, vS: int,
 
 
 def _rebuild(trace: GameTrace, vS: int, r: int | None, s: int, snap_b,
-             snap_m, targets, breaker_edges) -> PotentialAudit:
-    """The audit of vS in round s from what ``_replay`` collected."""
+             snap_m, targets, breaker_edges, reach) -> PotentialAudit:
+    """The audit of vS in round s from what ``_replay`` collected.
+
+    dM only grows, so a vertex v other than vS is in the pool of label j
+    exactly when j <= join(v) = min(last round before s targeting v, the
+    round dM(v) reached k), and vS joins at s.  The pools are built once,
+    from label s down, by merging in the vertices that join at each label.
+    """
     params = trace.params
     k = params.threshold_degree()
     if r is None:
@@ -239,18 +272,26 @@ def _rebuild(trace: GameTrace, vS: int, r: int | None, s: int, snap_b,
 
     audit = PotentialAudit(trace=trace, s=s, vS=vS, r=r, k=k,
                            snap_b=snap_b, snap_m=snap_m)
-    audit.multisets[s] = (vS,)
-    pool = {vS}
+    pool = audit.multisets[s] = (vS,)
+    # joiners[j] lists targets joining at label j.  Labels fall, so a target
+    # is first seen in its last round before s and joins there, or earlier
+    # when dM reached k earlier.
+    joiners: dict[int, list[int]] = {}
+    seen = [False] * params.n
+    seen[vS] = True
     for j in range(s - 1, 0, -1):
         round_targets = targets.get(j, [])
-        if len(round_targets) < params.a or any(t is None for t in round_targets):
+        if len(round_targets) < params.a or None in round_targets:
             raise TraceIncompatible(
                 f"round {j} lacks recorded targets; audit needs the "
                 f"min-degree strategy's target log")
-        pool.update(round_targets)
-        before_maker = snap_m[j].dM
-        audit.multisets[j] = tuple(sorted(
-            v for v in pool if before_maker[v] <= k - 1))
+        for t in round_targets:
+            if not seen[t]:
+                seen[t] = True
+                joiners.setdefault(min(j, reach[t]), []).append(t)
+        if j in joiners:
+            pool = tuple(sorted([*pool, *joiners.pop(j)]))
+        audit.multisets[j] = pool
     audit.g_values = compute_g(audit, breaker_edges)
     for i in range(0, s):
         audit.avg_b[i] = avg_danger(audit, i, "B")
@@ -270,18 +311,25 @@ def compute_g(audit: PotentialAudit,
     one difference array and its prefix sums give every count.
     """
     s = audit.s
-    join: dict[int, int] = {}
+    join = [0] * audit.trace.params.n
+    later: tuple[int, ...] = ()
     for j in range(s, 0, -1):
         support = audit.multisets[j]
-        for v in support:
-            join.setdefault(v, j)
-        if len(join) != len(support):
+        if support is later:
+            continue
+        joined = set(support).difference(later)
+        if len(joined) != len(support) - len(later):
             raise InvalidParams(
                 f"multiset {j} does not contain multiset {j + 1}; "
                 f"g cannot be counted")
+        for v in joined:
+            join[v] = j
+        later = support
     diff = [0] * (s + 2)
     for rnd, u, w in breaker_edges:
-        last = min(join.get(u, 0), join.get(w, 0))
+        last = join[u]
+        if join[w] < last:
+            last = join[w]
         if rnd < last:
             diff[rnd + 1] += 1
             diff[last + 1] -= 1
@@ -303,8 +351,12 @@ def avg_danger(audit: PotentialAudit, i: int, side: str) -> Fraction:
         raise InvalidParams(f"offset {i} has no reconstructed multiset")
     snap = audit.snap_m[j] if side == "M" else audit.snap_b[j]
     a, b = audit.trace.params.a, audit.trace.params.b
-    total = sum(a * snap.dB[v] - 2 * b * snap.dM[v]
-                for v in audit.multisets[j])
+    pool = audit.multisets[j]
+    if len(pool) > 1:
+        pick = itemgetter(*pool)
+        total = a * sum(pick(snap.dB)) - 2 * b * sum(pick(snap.dM))
+    else:  # itemgetter of a single index returns the bare value
+        total = sum(a * snap.dB[v] - 2 * b * snap.dM[v] for v in pool)
     return Fraction(total, a * (a * i + 1))
 
 

@@ -204,8 +204,9 @@ def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
     current format, a key is missing or holds a value of the wrong type, a
     row is not a list of two vertices and an optional target, all ints (a
     bool or a float is not one), a row's vertices are not ``0 <= u < v < n``
-    (the order the board stores), or a target is not one of its row's two
-    vertices; a row failing several of these is reported by the first.
+    (the order the board stores), a target is not one of its row's two
+    vertices, or a row repeats the edge of an earlier row; a row failing
+    several of these is reported by the first.
     """
     try:
         doc = json.loads(text)
@@ -219,6 +220,8 @@ def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
                   for rnd, player, bias in move_order(params.a, params.b)
                   for step in range(1, bias + 1))
         n, moves = params.n, trace.moves
+        # One flag per vertex pair, at u*n + v: set once its edge is read.
+        claimed = bytearray(n * n)
         for row, (rnd, step, player) in zip(doc["moves"], claims):
             if type(row) is list and len(row) == 2:
                 u, v = row
@@ -236,6 +239,14 @@ def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
             if target is not None and target != u and target != v:
                 raise TraceIncompatible(
                     f"move {len(moves)} targets {target}, not an endpoint")
+            slot = u * n + v
+            if claimed[slot]:
+                first = next(i for i, mv in enumerate(moves)
+                             if mv.edge == (u, v))
+                raise TraceIncompatible(
+                    f"move {len(moves)} repeats the edge ({u}, {v}) of "
+                    f"move {first}")
+            claimed[slot] = 1
             moves.append(MoveRecord(rnd, step, player, (u, v), target))
         outcome = None
         if "outcome" in doc:

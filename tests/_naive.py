@@ -4,10 +4,13 @@ Everything here favors obvious correctness over speed: plain backtracking,
 exhaustive subset enumeration, dict-of-sets adjacency.  Keep inputs tiny.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
-from mbg.board import Player
-from mbg.errors import NotConnected
+from mbg.audit import DegreeSnapshot, PotentialAudit, default_split_point
+from mbg.board import Board, Player
+from mbg.engine import GameTrace, replay_trace
+from mbg.errors import InvalidParams, NotConnected, TraceIncompatible
 from mbg.oracles import (BoosterSet, is_connected, is_hamiltonian,
                          longest_path_order)
 
@@ -143,3 +146,71 @@ def compute_g(audit, round_label):
             if u in support and v in support:
                 count += 1
     return count
+
+
+def foreclosure_point(trace):
+    """First (round, vertex) at which a Breaker claim lifts dB(v) past the
+    foreclosure limit, claim by claim on a board; u before v on a tie."""
+    limit = trace.params.foreclosure_limit()
+    board = Board(trace.params.n)
+    for mv in trace.moves:
+        board.claim(mv.player, mv.edge)
+        if mv.player is Player.BREAKER:
+            for v in mv.edge:
+                if board.dB[v] > limit:
+                    return mv.round, v
+    return None
+
+
+def audit(trace, s, vS, r=None):
+    """The ``PotentialAudit`` of vS in round s, from first principles.
+
+    Each snapshot replays its own prefix of the trace on a fresh board,
+    each pool is filtered from the targets of its rounds, g is counted per
+    label by ``compute_g`` and the averages are summed as Fractions.
+    """
+    params = trace.params
+    a, b, k = params.a, params.b, params.threshold_degree()
+    r = default_split_point(params.n, a) if r is None else r
+
+    def position(stop):
+        """Degrees after the moves before index ``stop``."""
+        board = replay_trace(GameTrace(params, trace.seed, trace.moves[:stop]))
+        return DegreeSnapshot(tuple(board.dM), tuple(board.dB))
+
+    moves = trace.moves
+    snap_b, snap_m = {}, {}
+    for j in range(1, s + 1):
+        snap_b[j] = position(next(i for i, mv in enumerate(moves)
+                                  if mv.round == j))
+        makers = [i for i, mv in enumerate(moves)
+                  if mv.round == j and mv.player is Player.MAKER]
+        if makers:
+            snap_m[j] = position(makers[0])
+    if s not in snap_m:
+        snap_m[s] = position(sum(1 for mv in moves if mv.round <= s))
+    if snap_b[s].dM[vS] >= k:
+        raise InvalidParams(f"vertex {vS} is not below degree {k}")
+    result = PotentialAudit(trace=trace, s=s, vS=vS, r=r, k=k,
+                            snap_b=snap_b, snap_m=snap_m)
+    result.multisets[s] = (vS,)
+    for j in range(s - 1, 0, -1):
+        targets = {}
+        for rnd in range(j, s):
+            aimed = [mv.target for mv in moves
+                     if mv.round == rnd and mv.player is Player.MAKER]
+            if len(aimed) < a or None in aimed:
+                raise TraceIncompatible(f"round {rnd} lacks targets")
+            targets.update(dict.fromkeys(aimed))
+        targets[vS] = None
+        result.multisets[j] = tuple(sorted(
+            v for v in targets if snap_m[j].dM[v] < k))
+    result.g_values = {j: compute_g(result, j) for j in range(1, s + 1)}
+    for i in range(s):
+        for side, snaps, averages in (("B", snap_b, result.avg_b),
+                                      ("M", snap_m, result.avg_m)):
+            snap = snaps[s - i]
+            danger = sum(snap.dB[v] - Fraction(2 * b, a) * snap.dM[v]
+                         for v in result.multisets[s - i])
+            averages[i] = Fraction(danger) / (a * i + 1)
+    return result

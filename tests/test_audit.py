@@ -11,19 +11,32 @@ from fractions import Fraction
 
 import pytest
 
+import _naive
 from mbg.audit import (HARMONIC_GUARD, DegreeSnapshot, audit_game,
                        canonical_audit_point, check_potential_lemmas,
                        default_split_point,
                        foreclosed_degree_floor_ok,
                        harmonic, harmonic_bounds_ok, harmonic_bounds_sweep,
                        losing_round_bound_ok, reconstruct_multisets)
-from mbg.board import Board, GameParams, Player
+from mbg.board import GameParams, Player
 from mbg.engine import (GameTrace, MoveRecord, play_game, replay_trace,
                         write_trace)
-from mbg.errors import InvalidParams, TraceIncompatible
+from mbg.errors import (EdgeAlreadyClaimed, InvalidParams, MBGError,
+                        TraceIncompatible)
 from mbg.harness import main
 from mbg.breaker_strategies import IsolateBreaker, make_breaker
 from mbg.maker_strategies import MinDegMaker, make_maker
+
+
+class CountingMoves(list):
+    """A move list that counts the moves its iterators hand out."""
+
+    consumed = 0
+
+    def __iter__(self):
+        for move in super().__iter__():
+            self.consumed += 1
+            yield move
 
 
 def scripted_trace(n, a, b, k, rounds):
@@ -279,25 +292,19 @@ class TestSinglePass:
                          make_breaker("random", params), seed=0,
                          early_stop=early_stop)
 
-    def counting_board(self, monkeypatch):
-        claims = []
+    def counting_moves(self, trace):
+        """Swap in a move list that counts the moves iteration hands out."""
+        moves = CountingMoves(trace.moves)
+        trace.moves = moves
+        return moves
 
-        class CountingBoard(Board):
-            def claim(self, player, edge):
-                claims.append(edge)
-                super().claim(player, edge)
-
-        monkeypatch.setattr("mbg.audit.new_board", CountingBoard)
-        return claims
-
-    def test_audit_game_claims_each_move_once(self, monkeypatch):
+    def test_audit_game_claims_each_move_once(self):
         _, trace = self.loss()
-        claims = self.counting_board(monkeypatch)
+        moves = self.counting_moves(trace)
         assert audit_game(trace) is not None
-        assert 0 < len(claims) <= len(trace.moves)
+        assert 0 < moves.consumed <= len(moves)
 
-    def test_played_out_win_replays_until_maker_holds_degree_k(self,
-                                                               monkeypatch):
+    def test_played_out_win_replays_until_maker_holds_degree_k(self):
         params = GameParams(n=20, a=1, b=2, k=2)
         outcome, trace = play_game(params, make_maker("min-deg", params),
                                    make_breaker("random", params), seed=0,
@@ -305,11 +312,11 @@ class TestSinglePass:
         won, early = play_game(params, make_maker("min-deg", params),
                                make_breaker("random", params), seed=0)
         assert outcome.winner is won.winner is Player.MAKER
-        claims = self.counting_board(monkeypatch)
+        moves = self.counting_moves(trace)
         assert audit_game(trace) is None
         # after the claim that gives Maker minimum degree k nothing can
         # be foreclosed, and the early-stopped game ends at that claim
-        assert len(claims) == len(early.moves) < len(trace.moves)
+        assert moves.consumed == len(early.moves) < len(moves)
 
     def test_played_out_loss_is_audited_at_its_foreclosure(self, tmp_path,
                                                            capsys):
@@ -341,3 +348,65 @@ class TestSinglePass:
         assert main(["verify", "--trace", str(path), "--round", str(s),
                      "--vertex", str(vS)]) == code
         assert capsys.readouterr().out == canonical
+
+
+class TestReplayLegality:
+    """The replay checks every claim it reads, as a board would."""
+
+    def test_repeated_edge_is_already_claimed(self):
+        trace = scripted_trace(n=5, a=1, b=1, k=1, rounds=[
+            ([(0, 1)], [((2, 3), 2)]),
+            ([(0, 1)], []),
+        ])
+        with pytest.raises(EdgeAlreadyClaimed,
+                           match=r"edge \(0, 1\) is claimed twice"):
+            audit_game(trace)
+
+    @pytest.mark.parametrize("edge", [(1, 0), (2, 2), (-1, 2), (0, 5)])
+    def test_pair_outside_the_board_is_invalid(self, edge):
+        trace = scripted_trace(n=5, a=1, b=1, k=1, rounds=[
+            ([(0, 1)], [((2, 3), 2)]),
+            ([edge], []),
+        ])
+        with pytest.raises(InvalidParams, match="not a valid pair"):
+            audit_game(trace)
+
+
+def outcome_of(run):
+    """``run()``'s value, or the type of the package error it raised."""
+    try:
+        return run()
+    except MBGError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_audit_matches_the_reference(a, k, early_stop):
+    """Every field and the report of an audit equal the slow reference's,
+    at the foreclosure point and at other (s, vS); wins have no audit."""
+    n = 14
+    params = GameParams(n=n, a=a, b=round(2.5 * a * n / (a + math.log(n))),
+                        k=k)
+    losses = 0
+    for seed in range(4):
+        _, trace = play_game(params, make_maker("min-deg", params),
+                             make_breaker("random", params), seed=seed,
+                             early_stop=early_stop)
+        point = _naive.foreclosure_point(trace)
+        assert canonical_audit_point(trace) == point
+        result = audit_game(trace)
+        if point is None:
+            assert result is None
+            continue
+        losses += 1
+        audit, report = result
+        reference = _naive.audit(trace, *point)
+        assert audit == reference
+        assert report.as_text() == check_potential_lemmas(reference).as_text()
+        for s in {1, point[0] // 2 + 1, trace.rounds_played()}:
+            for vS in {0, n // 2, n - 1, point[1]}:
+                assert (outcome_of(lambda: reconstruct_multisets(trace, s, vS))
+                        == outcome_of(lambda: _naive.audit(trace, s, vS)))
+    assert losses

@@ -11,7 +11,7 @@ from mbg.engine import (GameOutcome, GameTrace, MoveRecord,
                         play_game, replay_trace, trace_from_json,
                         trace_to_json)
 from mbg.errors import InvalidParams, StrategyViolation, TraceIncompatible
-from mbg.harness import trial_seed
+from mbg.harness import main, trial_seed
 from mbg.maker_strategies import make_maker
 from mbg.breaker_strategies import make_breaker
 
@@ -243,10 +243,13 @@ class TestTrace:
         ('[[0, 1], [true, 2]]', "move 1 is not a row of 2 or 3 ints"),
         ('[[0, 1, 3]]', "move 0 targets 3, not an endpoint"),
         ('[[3, 1, 5]]', r"move 0 is \(3, 1\), not 0 <= u < v < 5"),
+        ('[[0, 1], [0, 1, 3]]', "move 1 targets 3, not an endpoint"),
+        ('[[0, 1], [2, 3], [0, 1]]',
+         r"move 2 repeats the edge \(0, 1\) of move 0"),
     ])
     def test_row_checks_keep_their_precedence(self, rows, message):
         # a row's types are checked before its range, its range before
-        # its target
+        # its target, its target before a repeat of an earlier edge
         with pytest.raises(TraceIncompatible, match=message):
             trace_from_json(rows_text(rows))
 
@@ -277,6 +280,21 @@ class TestTrace:
         with pytest.raises(TraceIncompatible,
                            match=rf"move {last} is \(999, 14\)"):
             trace_from_json(json.dumps(doc))
+
+    def test_verify_rejects_a_repeated_edge_it_would_not_audit(self,
+                                                                tmp_path,
+                                                                capsys):
+        # an audit of round 1 never reaches the last row; reading does
+        outcome, trace = run(n=20, b=8, k=2, seed=0)
+        doc = json.loads(trace_to_json(trace, outcome))
+        doc["moves"][-1] = doc["moves"][0][:2]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", "--trace", str(path), "--round", "1",
+                     "--vertex", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: move ") and "of move 0" in err
+        assert err.count("\n") == 1
 
     def test_empty_trace_counts(self):
         trace = GameTrace(params=GameParams(n=5), seed=0)

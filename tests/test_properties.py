@@ -3,15 +3,18 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import _naive
-from mbg.audit import audit_game, harmonic
+from mbg.audit import (audit_game, check_potential_lemmas, harmonic,
+                       reconstruct_multisets)
 from mbg.board import Board, GameParams, Player
 from mbg.boxgame import (BoxPlayState, boxmaker_balancing_move,
                          canonical_instance, f_box, f_lower_bound)
 from mbg.breaker_strategies import make_breaker
 from mbg.engine import play_game, trace_from_json, trace_to_json
+from mbg.errors import MBGError
 from mbg.maker_strategies import make_maker
 from mbg.oracles import SimpleGraph, boosters
 
@@ -157,3 +160,39 @@ def test_audit_pools_nest(seed):
         assert set(audit.multisets[earlier]) >= set(audit.multisets[later])
     assert audit.g_values == {j: _naive.compute_g(audit, j) for j in labels}
     assert report.passed, report.as_text()
+
+
+@SLOW
+@given(a=st.integers(1, 3), k=st.integers(1, 3), seed=st.integers(0, 10**6),
+       early_stop=st.booleans(), data=st.data())
+def test_audit_of_random_targets_matches_the_reference(a, k, seed,
+                                                       early_stop, data):
+    # random play aimed at random endpoints retargets vertices that already
+    # hold degree k, so the pools' degree filter matters here, unlike in
+    # the min-degree Maker's games
+    params = GameParams(n=10, a=a, b=3 * a, k=k)
+    _, trace = play_game(params, make_maker("random", params),
+                         make_breaker("random", params), seed=seed,
+                         early_stop=early_stop)
+    rng = random.Random(seed)
+    trace.moves = [mv if mv.player is Player.BREAKER
+                   else mv._replace(target=rng.choice(mv.edge))
+                   for mv in trace.moves]
+    point = _naive.foreclosure_point(trace)
+    result = audit_game(trace)
+    if point is None:
+        assert result is None
+    else:
+        audit, report = result
+        reference = _naive.audit(trace, *point)
+        assert audit == reference
+        assert report.as_text() == check_potential_lemmas(reference).as_text()
+    s = data.draw(st.integers(1, trace.rounds_played()))
+    vS = data.draw(st.integers(0, params.n - 1))
+    try:
+        expected = _naive.audit(trace, s, vS)
+    except MBGError as exc:
+        with pytest.raises(type(exc)):
+            reconstruct_multisets(trace, s, vS)
+    else:
+        assert reconstruct_multisets(trace, s, vS) == expected
