@@ -29,7 +29,7 @@ from .boxgame import (SOLVER_MAX_BALLS, SOLVER_MAX_BOXES, BoxInstance,
                       canonical_instance, solve_exhaustive)
 from .breaker_strategies import BREAKER_STRATEGIES, make_breaker
 from .engine import play_game, read_trace, write_trace
-from .errors import MBGError, StrategyInfeasible
+from .errors import InvalidParams, MBGError, StrategyInfeasible
 from .maker_strategies import MAKER_STRATEGIES, make_maker
 from .oracles import (SimpleGraph, boosters, is_hamiltonian, is_k_expander,
                       longest_path_order)
@@ -43,12 +43,18 @@ def trial_seed(master_seed: int, b_index: int, trial: int) -> int:
 
 
 def worker_count() -> int:
-    """Sweep worker processes: MBG_THREADS, clamped to 1..cpu_count()."""
+    """Sweep worker processes: MBG_THREADS, at most cpu_count().
+
+    Raises InvalidParams unless MBG_THREADS is a positive integer.
+    """
     raw = os.environ.get("MBG_THREADS", "1")
     try:
-        return max(1, min(int(raw), os.cpu_count() or 1))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise InvalidParams(f"MBG_THREADS must be a positive integer, got {raw!r}")
+    return min(count, os.cpu_count() or 1)
 
 
 def reference_threshold(n: int, a: int) -> float:

@@ -160,7 +160,10 @@ def _joined_pairs(ends: list[int], shared: int, deficit: int) -> list[int]:
     need = n - deficit + shared.bit_count()
     half = (need + 1) // 2
     pairs = [0] * n
-    for mask, tips in enumerate(ends):
+    # The vertex-0 table (shared == 1) is 0 on every mask without vertex 0.
+    step = 2 if shared == 1 else 1
+    for mask in range(step - 1, full + 1, step):
+        tips = ends[mask]
         if tips and half <= mask.bit_count() < need:
             rest = full ^ mask
             drops = (map(sum, combinations([1 << v for v in bits(rest)], deficit))
@@ -177,6 +180,33 @@ def _joined_pairs(ends: list[int], shared: int, deficit: int) -> list[int]:
     return pairs
 
 
+# The vertex-0 table of the last adjacency asked for, as one (key, ends)
+# tuple so that no reader pairs one graph's key with another's table.
+_vertex0_memo: tuple[tuple[int, ...], list[int]] | None = None
+
+
+def _vertex0_table(adj: list[int]) -> list[int]:
+    """``_path_table(adj, 1)[0]``, built once per distinct adjacency.
+
+    ``is_hamiltonian`` and ``boosters`` share it: a stage-III step asks both
+    about one Maker graph.  At most one 2^n table is alive at a time: the old
+    entry is dropped before a new table is built, ``boosters`` drops it
+    before its all-start table, and nothing is kept above
+    ``LONGEST_PATH_CAP``, where ``boosters`` cannot reuse it.  Callers must
+    not change the returned list.
+    """
+    global _vertex0_memo
+    key = tuple(adj)
+    memo = _vertex0_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    memo = _vertex0_memo = None
+    ends, _ = _path_table(adj, 1)
+    if len(adj) <= LONGEST_PATH_CAP:
+        _vertex0_memo = (key, ends)
+    return ends
+
+
 def is_hamiltonian(g: SimpleGraph) -> bool:
     """Exact Hamiltonian-cycle test via subset DP over (visited set, endpoint).
 
@@ -189,8 +219,7 @@ def is_hamiltonian(g: SimpleGraph) -> bool:
         return False
     if not is_connected(g) or min_degree(g) < 2:
         return False
-    ends, _ = _path_table(g.adj, 1)
-    return ends[(1 << n) - 1] & g.adj[0] != 0
+    return _vertex0_table(g.adj)[(1 << n) - 1] & g.adj[0] != 0
 
 
 def longest_path_order(g: SimpleGraph) -> int:
@@ -266,6 +295,7 @@ def boosters(g: SimpleGraph) -> BoosterSet:
        Paths can be shortened, so one all-start table, joined with T
        dropping n - 1 - base vertices of V - S, lists every booster.
     """
+    global _vertex0_memo
     if not is_connected(g):
         raise NotConnected("boosters are defined for connected graphs only")
     n = g.n
@@ -273,12 +303,13 @@ def boosters(g: SimpleGraph) -> BoosterSet:
         raise TooLarge(f"boosters capped at n <= {LONGEST_PATH_CAP}, got {n}")
     adj = g.adj
     full = (1 << n) - 1
-    ends, _ = _path_table(adj, 1)
+    ends = _vertex0_table(adj)
     if n > 2 and ends[full] & adj[0]:
         return BoosterSet(frozenset(), True)
     pairs = _joined_pairs(ends, 1, 0)
     if not any(pairs):
         del ends  # keep one 2^n table alive at a time
+        _vertex0_memo = None
         ends, base = _path_table(adj, full)
         pairs = _joined_pairs(ends, 0, n - 1 - base)
     return BoosterSet(frozenset((u, v) for u, v in g.non_edges()

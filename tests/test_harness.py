@@ -9,7 +9,7 @@ import pytest
 from mbg import harness
 from mbg.board import GameParams
 from mbg.engine import play_game, read_trace, trace_to_json, write_trace
-from mbg.errors import MBGError
+from mbg.errors import InvalidParams, MBGError
 from mbg.harness import (CellResult, SweepSpec, _estimate_threshold,
                          _int_list, _load_config, main, reference_threshold,
                          run_sweep, trial_seed, worker_count)
@@ -38,13 +38,18 @@ class TestWorkerCount:
         monkeypatch.delenv("MBG_THREADS", raising=False)
         assert worker_count() == 1
 
-    @pytest.mark.parametrize("raw, expected", [
-        ("4", 4), ("1", 1), ("0", 1), ("-3", 1), ("junk", 1),
-    ])
+    @pytest.mark.parametrize("raw, expected", [("4", 4), ("1", 1)])
     def test_parsing(self, monkeypatch, raw, expected):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setenv("MBG_THREADS", raw)
         assert worker_count() == expected
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "junk"])
+    def test_rejects_anything_but_a_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setenv("MBG_THREADS", raw)
+        with pytest.raises(InvalidParams, match=f"got '{raw}'"):
+            worker_count()
 
     @pytest.mark.parametrize("cores, expected", [(2, 2), (None, 1)])
     def test_clamped_to_the_core_count(self, monkeypatch, cores, expected):
@@ -255,6 +260,14 @@ class TestCli:
         assert lines[1].startswith("b=2 win_rate=")
         assert lines[2].startswith("estimated_threshold=")
         assert "reference_curve=" in lines[2]
+
+    def test_sweep_rejects_a_bad_thread_count(self, monkeypatch, capsys):
+        monkeypatch.setenv("MBG_THREADS", "junk")
+        assert main(["sweep", "--n", "8", "--trials", "2",
+                     "--b-values", "1,2", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: MBG_THREADS must be a positive integer, got 'junk'\n"
+        assert captured.out == ""
 
     def test_sweep_says_when_the_crossing_is_not_bracketed(self, capsys):
         assert main(["sweep", "--n", "20", "--trials", "3",

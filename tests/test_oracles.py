@@ -1,10 +1,15 @@
 import random
+import tracemalloc
 
 import pytest
 
 import _naive
 from mbg import oracles
+from mbg.board import GameParams
+from mbg.breaker_strategies import make_breaker
+from mbg.engine import play_game
 from mbg.errors import InvalidParams, NotConnected, TooLarge
+from mbg.maker_strategies import make_maker
 from mbg.oracles import (HAMILTONIAN_CAP, LONGEST_PATH_CAP, SimpleGraph,
                          boosters, connected_components, is_connected,
                          is_hamiltonian, is_k_expander, longest_path_order,
@@ -177,6 +182,57 @@ class TestBoosters:
         found = boosters(petersen_graph())
         assert len(found.edges) == 30
         assert found.edges == frozenset(petersen_graph().non_edges())
+
+
+class TestVertex0Table:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Adjacencies whose vertex-0 table is built, in build order."""
+        adjacencies = []
+        path_table = oracles._path_table
+
+        def counting(adj, seeds, stop=0):
+            if seeds == 1:
+                adjacencies.append(tuple(adj))
+            return path_table(adj, seeds, stop)
+
+        monkeypatch.setattr(oracles, "_path_table", counting)
+        monkeypatch.setattr(oracles, "_vertex0_memo", None, raising=False)
+        return adjacencies
+
+    def test_one_table_per_maker_graph_in_a_stage_three_game(self, built):
+        # The engine's detection, stage III's own test and boosters all ask
+        # about one Maker graph between Maker's claims.
+        params = GameParams(n=14, a=1, b=2, goal="hamiltonicity")
+        maker = make_maker("ham-3stage", params, degree_target=2)
+        play_game(params, maker, make_breaker("random", params), seed=2)
+        assert maker.state.stage_log == ["I", "II", "III"]
+        assert built and len(built) == len(set(built))
+
+    def test_nothing_kept_above_the_longest_path_cap(self, built, monkeypatch):
+        monkeypatch.setattr(oracles, "LONGEST_PATH_CAP", 5)
+        for g in (cycle(6), cycle(6), cycle(5), cycle(5)):
+            assert is_hamiltonian(g)
+        assert len(built) == 3
+
+    def test_boosters_keep_one_table_alive_at_a_time(self, built):
+        # K_{5,8} has no Hamilton path, so boosters drops the vertex-0 table
+        # for the all-start one; keeping both would peak about 1.6 times as
+        # high as the all-start table alone.  (K_{6,9} separates the same
+        # way, but tracemalloc slows its 2^15 tables to seconds.)
+        g = bipartite(5, 8)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        table_alone = peak(lambda: oracles._path_table(g.adj, (1 << g.n) - 1))
+        assert peak(lambda: boosters(g)) < 1.2 * table_alone
+        assert built == [tuple(g.adj)]
 
 
 class TestExpander:

@@ -16,7 +16,7 @@ from mbg.breaker_strategies import make_breaker
 from mbg.engine import play_game, trace_from_json, trace_to_json
 from mbg.errors import MBGError
 from mbg.maker_strategies import make_maker
-from mbg.oracles import SimpleGraph, boosters
+from mbg.oracles import SimpleGraph, boosters, is_hamiltonian
 
 SLOW = settings(max_examples=25, deadline=None)
 FAST = settings(max_examples=60, deadline=None)
@@ -136,6 +136,48 @@ def test_boosters_match_the_per_edge_reference(n, p, seed):
     tree = [(rng.randrange(v), v) for v in range(1, n)]
     g = SimpleGraph(n, tree + _naive.random_graph_edges(rng, n, p))
     assert boosters(g) == _naive.boosters_by_edge(g)
+
+
+@FAST
+@given(n=st.integers(3, 12), p=st.floats(0.0, 0.4), seed=st.integers(0, 10**6),
+       steps=st.lists(st.sampled_from(
+           ("hamiltonian", "boosters", "one-edge-more", "add-edge", "fresh")),
+           min_size=1, max_size=6))
+def test_interleaved_oracles_never_read_a_stale_path_table(n, p, seed, steps):
+    # is_hamiltonian and boosters share one memoised vertex-0 table: interleave
+    # them on random graphs, on graphs one edge apart and on one SimpleGraph
+    # grown in place between calls.
+    rng = random.Random(seed)
+
+    def fresh():
+        """A random tree, or a random Hamilton path, plus random edges."""
+        order = rng.sample(range(n), n)
+        spine = ([(rng.randrange(v), v) for v in range(1, n)]
+                 if rng.random() < 0.5 else list(zip(order, order[1:])))
+        return SimpleGraph(n, spine + _naive.random_graph_edges(rng, n, p))
+
+    def check(h, oracle):
+        # The reference runs first, so the memo holds h's table afterwards.
+        if oracle == "hamiltonian":
+            expected = _naive.hamiltonian_cycle_exists(n, h.edges())
+            assert is_hamiltonian(h) == expected
+        else:
+            expected = _naive.boosters_by_edge(h)
+            assert boosters(h) == expected
+
+    g = fresh()
+    for step in steps:
+        missing = g.non_edges()
+        if step == "fresh":
+            g = fresh()
+        elif step in ("hamiltonian", "boosters"):
+            check(g, step)
+        elif missing and step == "add-edge":
+            g.add_edge(*rng.choice(missing))
+        elif missing and step == "one-edge-more":
+            near = g.with_edge(*rng.choice(missing))
+            check(near, rng.choice(("hamiltonian", "boosters")))
+        check(g, rng.choice(("hamiltonian", "boosters")))
 
 
 @FAST
