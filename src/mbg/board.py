@@ -247,10 +247,11 @@ def parse_edge_list(text: str) -> list[Edge]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise InvalidParams(f"line {lineno}: expected 'u v', got {line!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = map(int, line.split())
+        except ValueError:
+            raise InvalidParams(
+                f"line {lineno}: expected 'u v', got {line!r}") from None
         if u == v:
             raise InvalidParams(f"line {lineno}: loop edge {u}")
         edges.append((min(u, v), max(u, v)))

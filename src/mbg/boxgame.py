@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import BoxesExhausted, InvalidParams, PreconditionFailed, TooLarge
@@ -29,7 +28,6 @@ class BoxPlayer(Enum):
     BOXBREAKER = "BoxBreaker"
 
 
-@lru_cache(maxsize=None)
 def f_box(k: int, p: int, q: int) -> int:
     """Threshold value f(k; p, q) of the box game, exact integer.
 
@@ -41,9 +39,12 @@ def f_box(k: int, p: int, q: int) -> int:
         raise InvalidParams(f"f_box needs k, p, q >= 1, got ({k}, {p}, {q})")
     if k <= q:
         return (k - 1) * (p + 1)
-    if k <= 2 * q:
-        return k * p
-    return k * (f_box(k - q, p, q) + p - q) // (k - q)
+    j = q + 1 + (k - q - 1) % q  # the base case k reduces to, in (q, 2q]
+    value = j * p
+    while j < k:
+        j += q
+        value = j * (value + p - q) // (j - q)
+    return value
 
 
 # Cached partial sums of 1/j starting at j=2, used by f_lower_bound.

@@ -313,7 +313,7 @@ def cmd_boxgame(args: argparse.Namespace) -> int:
             print(f"lower_bound={float(bound):.4f}")
         return 0
     if args.mode == "solve":
-        sizes = _int_list(args.sizes)
+        sizes = args.sizes
         if not sizes:
             raise MBGError("mode solve needs --sizes, e.g. --sizes 2,2,3")
         first = (BoxPlayer.BOXMAKER if args.first == "boxmaker"
@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     box.add_argument("--q", type=int, default=1)
     box.add_argument("--lower", action="store_true",
                      help="with mode f, also print the lower bound")
-    box.add_argument("--sizes", default="",
+    box.add_argument("--sizes", type=_int_list, default=(),
                      help="with mode solve, comma-separated box sizes")
     box.add_argument("--canonical", action="store_true",
                      help="with mode solve, rebalance sizes canonically")
@@ -500,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MBGError as exc:
+    except (MBGError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .board import Board, Edge, GameParams, Player
 from .errors import InvalidParams, StageBlocked
 from .oracles import (SimpleGraph, boosters, connected_components,
                       is_hamiltonian)
 
-# Default per-stage degree goal of the Hamiltonicity strategy; a knob so
-# small boards can exercise the later stages.
+# Default Maker degree that stage I of the Hamiltonicity strategy raises
+# every vertex to; a lower ``degree_target`` lets small boards reach stages
+# II and III.
 DEGREE_TARGET = 16
 
 
@@ -93,7 +95,7 @@ _STAGES = ("I", "II", "III", "done")
 
 @dataclass
 class HamMakerState:
-    """Stage machine of the Hamiltonicity strategy."""
+    """Where the Hamiltonicity strategy stands: its stage and claim counts."""
 
     degree_target: int = DEGREE_TARGET
     stage: str = "I"
@@ -101,56 +103,38 @@ class HamMakerState:
         default_factory=lambda: {s: 0 for s in _STAGES})
     stage_log: list[str] = field(default_factory=lambda: ["I"])
 
-    def transition(self, stage: str) -> None:
-        if _STAGES.index(stage) < _STAGES.index(self.stage):
-            raise InvalidParams(
-                f"stage may only advance, got {self.stage} -> {stage}")
-        self.stage = stage
-        self.stage_log.append(stage)
 
-    def record_claim(self) -> None:
-        self.claims_in_stage[self.stage] += 1
-
-
-def ham_stage1_step(board: Board, params: GameParams, state: HamMakerState,
-                    rng) -> tuple[Edge, int | None]:
+def ham_stage1_step(board: Board, params: GameParams, degree_target: int,
+                    rng) -> tuple[Edge, int] | None:
     """Stage I: raise every Maker degree to the target.
 
     Pick the most endangered vertex under the degree target that still has a
     free edge (lowest index on ties) and claim a uniformly random free edge
-    at it.  Once no such vertex is left, move to stage II.
+    at it.  None once no such vertex is left.
     """
-    target = most_endangered(board, params, state.degree_target)
+    target = most_endangered(board, params, degree_target)
     if target is None:
-        state.transition("II")
-        return ham_stage2_move(board, state)
+        return None
     free = board.free_incident_edges(target)
-    edge = free[rng.randrange(len(free))]
-    state.record_claim()
-    return edge, target
+    return free[rng.randrange(len(free))], target
 
 
-def ham_stage2_move(board: Board, state: HamMakerState) -> tuple[Edge, int | None]:
+def ham_stage2_move(board: Board) -> tuple[Edge, None] | None:
     """Stage II: merge Maker's components, smallest pair first.
 
     Claims the lowest-index free edge between the two smallest components,
     falling back to any component pair that still has a free crossing edge.
-    Raises StageBlocked when every crossing edge of every pair is Breaker's,
-    which proves Maker's graph can never become connected.
+    None once Maker's graph is connected.  Raises StageBlocked when every
+    crossing edge of every pair is Breaker's, which proves Maker's graph can
+    never become connected.
     """
-    g = SimpleGraph.from_board(board, Player.MAKER)
-    comps = connected_components(g)
+    comps = connected_components(SimpleGraph.from_board(board, Player.MAKER))
     if len(comps) == 1:
-        state.transition("III")
-        return ham_stage3_move(board, state)
+        return None
     comps.sort(key=lambda c: (len(c), c[0]))
-    order = [(0, 1)]
-    order += [(i, j) for i in range(len(comps)) for j in range(i + 1, len(comps))
-              if (i, j) != (0, 1)]
-    for i, j in order:
-        edge = _lowest_crossing_free_edge(board, comps[i], comps[j])
+    for comp1, comp2 in combinations(comps, 2):
+        edge = _lowest_crossing_free_edge(board, comp1, comp2)
         if edge is not None:
-            state.record_claim()
             return edge, None
     raise StageBlocked("no free edge crosses any pair of Maker components")
 
@@ -167,21 +151,19 @@ def _lowest_crossing_free_edge(board: Board, comp1, comp2) -> Edge | None:
     return None
 
 
-def ham_stage3_move(board: Board, state: HamMakerState) -> tuple[Edge, int | None]:
+def ham_stage3_move(board: Board) -> tuple[Edge, None] | None:
     """Stage III: claim boosters until the graph is Hamiltonian.
 
     Boosters are recomputed from the current Maker graph on every call, so
-    each claim is made against the live position.  Raises StageBlocked when
-    boosters exist but Breaker owns them all.
+    each claim is made against the live position.  None once the graph is
+    Hamiltonian.  Raises StageBlocked when boosters exist but Breaker owns
+    them all.
     """
     g = SimpleGraph.from_board(board, Player.MAKER)
     if is_hamiltonian(g):
-        state.transition("done")
-        return board.lowest_free_edge(), None
-    bset = boosters(g)
-    for e in sorted(bset.edges):
+        return None
+    for e in sorted(boosters(g).edges):
         if board.is_free(e):
-            state.record_claim()
             return e, None
     raise StageBlocked("every booster of Maker's graph is Breaker-claimed")
 
@@ -189,10 +171,11 @@ def ham_stage3_move(board: Board, state: HamMakerState) -> tuple[Edge, int | Non
 class Ham3StageMaker(GameStrategy):
     """Driver for the three-stage Hamiltonicity plan.
 
-    When stage III finds all of its boosters Breaker-claimed it does not give
-    up the game: new boosters appear as the graph grows, so the driver claims
-    a filler edge and retries on the next step.  A blocked stage II, by
-    contrast, is a proof that connection is impossible and propagates.
+    The only code that advances the stage: past each finished stage, so
+    stages only move forward.  A blocked stage II proves that connection is
+    impossible and propagates.  A blocked stage III does not give up: new
+    boosters appear as the graph grows, so the driver claims a filler edge,
+    counted in no stage, and retries stage III on the next step.
     """
 
     def __init__(self, params: GameParams, degree_target: int = DEGREE_TARGET):
@@ -203,15 +186,23 @@ class Ham3StageMaker(GameStrategy):
 
     def step(self, board: Board, rng) -> tuple[Edge, int | None]:
         state = self.state
-        if state.stage == "I":
-            return ham_stage1_step(board, self.params, state, rng)
-        if state.stage == "II":
-            return ham_stage2_move(board, state)
-        if state.stage == "III":
-            try:
-                return ham_stage3_move(board, state)
-            except StageBlocked:
-                pass
+        try:
+            while state.stage != "done":
+                if state.stage == "I":
+                    move = ham_stage1_step(board, self.params,
+                                           state.degree_target, rng)
+                elif state.stage == "II":
+                    move = ham_stage2_move(board)
+                else:
+                    move = ham_stage3_move(board)
+                if move is not None:
+                    state.claims_in_stage[state.stage] += 1
+                    return move
+                state.stage = _STAGES[_STAGES.index(state.stage) + 1]
+                state.stage_log.append(state.stage)
+        except StageBlocked:
+            if state.stage != "III":
+                raise
         return board.lowest_free_edge(), None
 
 

@@ -171,7 +171,7 @@ class TestEdgeListText:
         text = "# header\n\n3 1\n"
         assert parse_edge_list(text) == [(1, 3)]
 
-    @pytest.mark.parametrize("text", ["1 2 3\n", "5 5\n", "a b\n"])
+    @pytest.mark.parametrize("text", ["1 2 3\n", "5 5\n", "a b\n", "0 1\n1 x\n"])
     def test_bad_lines_rejected(self, text):
-        with pytest.raises((InvalidParams, ValueError)):
+        with pytest.raises(InvalidParams, match="^line "):
             parse_edge_list(text)

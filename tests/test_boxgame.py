@@ -23,6 +23,10 @@ class TestThresholdFunction:
         assert f_box(3, 5, 2) == 15
         assert f_box(5, 5, 2) == 30
 
+    def test_large_k_needs_no_recursion(self):
+        # f(k; 1, 1) = k for every k >= 2
+        assert f_box(5000, 1, 1) == 5000
+
     def test_rejects_nonpositive_parameters(self):
         for bad in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
             with pytest.raises(InvalidParams):

@@ -295,6 +295,12 @@ class TestCli:
                      "--p", "1", "--q", "1"]) == 0
         assert capsys.readouterr().out.strip() == "BoxBreaker"
 
+    def test_boxgame_rejects_non_integer_sizes(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["boxgame", "solve", "--sizes", "2,x"])
+        assert exc.value.code == 2
+        assert "argument --sizes: invalid" in capsys.readouterr().err
+
     def test_boxgame_grid(self, capsys):
         assert main(["boxgame", "grid", "--max-k", "2", "--max-t", "3",
                      "--p", "2", "--q", "1"]) == 0
@@ -326,6 +332,28 @@ class TestCli:
         assert main(["oracle", "--n", "4", "--edges", str(path),
                      "--check", "longest-path"]) == 0
         assert capsys.readouterr().out == "longest_path_order=4\n"
+
+    def test_oracle_rejects_a_non_integer_token(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1\n1 x\n", encoding="utf-8")
+        assert main(["oracle", "--n", "3", "--edges", str(path),
+                     "--check", "hamiltonian"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 2: expected 'u v', got '1 x'\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--n", "3", "--edges", "{missing}", "--check", "hamiltonian"],
+        ["verify", "--trace", "{missing}"],
+        ["simulate", "--config", "{missing}"],
+        ["simulate", "--n", "6", "--trace-out", "{missing}/game.json"]])
+    def test_unreadable_or_unwritable_files_exit_two(self, tmp_path, capsys,
+                                                       argv):
+        missing = str(tmp_path / "missing")
+        assert main([arg.format(missing=missing) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert missing in err
 
     def test_verify_trace_mode(self, tmp_path, capsys):
         params = GameParams(n=20, a=1, b=7, k=3)

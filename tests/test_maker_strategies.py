@@ -5,9 +5,10 @@ import pytest
 
 import _naive
 from mbg.board import Board, GameParams, Player
-from mbg.engine import REASON_GOAL_ACHIEVED, REASON_GOAL_IMPOSSIBLE, play_game
+from mbg.engine import (REASON_BOARD_EXHAUSTED, REASON_GOAL_ACHIEVED,
+                        REASON_GOAL_IMPOSSIBLE, play_game)
 from mbg.errors import InvalidParams, NoFreeEdge, StageBlocked
-from mbg.maker_strategies import (DEGREE_TARGET, GameStrategy, HamMakerState,
+from mbg.maker_strategies import (DEGREE_TARGET, GameStrategy,
                                   Ham3StageMaker, MinDegMaker, RandomMaker,
                                   danger, ham_stage1_step, ham_stage2_move,
                                   ham_stage3_move, make_maker, min_deg_step,
@@ -142,58 +143,43 @@ class TestMinDegMaker:
         assert MinDegMaker(params).step(board, RNG()) == ((0, 6), 0)
 
 
-class TestHamStageMachine:
-    def test_transitions_only_advance(self):
-        state = HamMakerState()
-        state.transition("II")
-        state.transition("III")
-        with pytest.raises(InvalidParams):
-            state.transition("I")
-        assert state.stage_log == ["I", "II", "III"]
-
+class TestHamStages:
     def test_stage1_prefers_low_degree_high_pressure(self):
         board = Board(6)
         board.claim(Player.BREAKER, (3, 4))
         board.claim(Player.BREAKER, (3, 5))
-        state = HamMakerState(degree_target=2)
-        edge, target = ham_stage1_step(board, GameParams(n=6), state, RNG())
+        edge, target = ham_stage1_step(board, GameParams(n=6), 2, RNG())
         assert target == 3
         assert 3 in edge and board.is_free(edge)
-        assert state.claims_in_stage["I"] == 1
 
-    def test_stage1_hands_over_when_degrees_reached(self):
+    def test_stage1_is_finished_when_degrees_are_reached(self):
         board = Board(4)
         # a 4-cycle gives every vertex Maker degree 2
         for e in [(0, 1), (1, 2), (2, 3), (0, 3)]:
             board.claim(Player.MAKER, e)
-        state = HamMakerState(degree_target=2)
-        edge, _ = ham_stage1_step(board, GameParams(n=4), state, RNG())
-        # the cycle is already Hamiltonian, so stage III immediately closes
-        assert state.stage == "done"
-        assert board.is_free(edge)
+        assert ham_stage1_step(board, GameParams(n=4), 2, RNG()) is None
 
-    def test_stage1_hands_over_past_saturated_vertices(self):
+    def test_stage1_is_finished_when_needy_vertices_are_saturated(self):
         board = Board(4)
         for w in (1, 2, 3):
             board.claim(Player.BREAKER, (0, w))
         for e in [(1, 2), (1, 3), (2, 3)]:
             board.claim(Player.MAKER, e)
-        # only vertex 0 is under target, and all of its edges are gone:
-        # stage II takes over and finds no free edge joining {0} to the rest
-        state = HamMakerState(degree_target=1)
-        with pytest.raises(StageBlocked):
-            ham_stage1_step(board, GameParams(n=4), state, RNG())
-        assert state.stage_log == ["I", "II"]
+        # only vertex 0 is under target, and all of its edges are gone
+        assert ham_stage1_step(board, GameParams(n=4), 1, RNG()) is None
 
     def test_stage2_merges_smallest_components_first(self):
         board = Board(7)
         for e in [(0, 1), (2, 3), (4, 5)]:
             board.claim(Player.MAKER, e)
-        state = HamMakerState(stage="II")
-        edge, target = ham_stage2_move(board, state)
-        assert target is None
         # singleton {6} pairs with the lowest two-vertex component
-        assert edge == (0, 6)
+        assert ham_stage2_move(board) == ((0, 6), None)
+
+    def test_stage2_is_finished_on_a_connected_graph(self):
+        board = Board(4)
+        for e in [(0, 1), (1, 2), (2, 3)]:
+            board.claim(Player.MAKER, e)
+        assert ham_stage2_move(board) is None
 
     def test_stage2_blocked_when_no_crossing_edge_is_free(self):
         board = Board(4)
@@ -201,39 +187,78 @@ class TestHamStageMachine:
         board.claim(Player.MAKER, (2, 3))
         for e in [(0, 2), (0, 3), (1, 2), (1, 3)]:
             board.claim(Player.BREAKER, e)
-        state = HamMakerState(stage="II")
         with pytest.raises(StageBlocked):
-            ham_stage2_move(board, state)
+            ham_stage2_move(board)
 
     def test_stage3_claims_the_closing_booster(self):
         board = Board(4)
         for e in [(0, 1), (1, 2), (2, 3)]:
             board.claim(Player.MAKER, e)
-        state = HamMakerState(stage="III")
-        edge, _ = ham_stage3_move(board, state)
-        assert edge == (0, 3)
+        assert ham_stage3_move(board) == ((0, 3), None)
+
+    def test_stage3_is_finished_on_a_hamiltonian_graph(self):
+        board = Board(4)
+        for e in [(0, 1), (1, 2), (2, 3), (0, 3)]:
+            board.claim(Player.MAKER, e)
+        assert ham_stage3_move(board) is None
 
     def test_stage3_blocked_when_boosters_are_taken(self):
         board = Board(4)
         for e in [(0, 1), (1, 2), (2, 3)]:
             board.claim(Player.MAKER, e)
         board.claim(Player.BREAKER, (0, 3))
-        state = HamMakerState(stage="III")
         with pytest.raises(StageBlocked):
-            ham_stage3_move(board, state)
+            ham_stage3_move(board)
 
 
 class TestHam3StageMaker:
-    def test_driver_falls_back_on_blocked_boosters(self):
-        params = GameParams(n=4, goal="hamiltonicity")
-        maker = Ham3StageMaker(params, degree_target=1)
+    def maker(self, n, degree_target):
+        return Ham3StageMaker(GameParams(n=n, goal="hamiltonicity"),
+                              degree_target=degree_target)
+
+    def test_stage1_claims_count_for_stage_one(self):
+        board = Board(6)
+        board.claim(Player.BREAKER, (3, 4))
+        maker = self.maker(6, 2)
+        edge, target = maker.step(board, RNG())
+        assert target == 3 and 3 in edge
+        assert maker.state.claims_in_stage["I"] == 1
+        assert maker.state.stage_log == ["I"]
+
+    def test_finished_stages_hand_over_within_one_step(self):
+        board = Board(4)
+        for e in [(0, 1), (1, 2), (2, 3), (0, 3)]:
+            board.claim(Player.MAKER, e)
+        maker = self.maker(4, 2)
+        edge, target = maker.step(board, RNG())
+        # the cycle is already Hamiltonian, so every stage is finished
+        assert maker.state.stage_log == ["I", "II", "III", "done"]
+        assert (edge, target) == ((0, 2), None)
+        assert sum(maker.state.claims_in_stage.values()) == 0
+
+    def test_blocked_stage2_propagates(self):
+        board = Board(4)
+        for w in (1, 2, 3):
+            board.claim(Player.BREAKER, (0, w))
+        for e in [(1, 2), (1, 3), (2, 3)]:
+            board.claim(Player.MAKER, e)
+        # stage II finds no free edge joining {0} to the rest
+        maker = self.maker(4, 1)
+        with pytest.raises(StageBlocked):
+            maker.step(board, RNG())
+        assert maker.state.stage_log == ["I", "II"]
+
+    def test_blocked_stage3_claims_a_filler_on_entry(self):
+        # Stages I and II are finished, and stage III's one booster (0, 3)
+        # is Breaker's: the step that enters stage III claims a filler.
         board = Board(4)
         for e in [(0, 1), (1, 2), (2, 3)]:
             board.claim(Player.MAKER, e)
         board.claim(Player.BREAKER, (0, 3))
-        maker.state.transition("III")
-        edge, _ = maker.step(board, RNG())
-        assert edge == (0, 2)  # filler, not a booster
+        maker = self.maker(4, 1)
+        assert maker.step(board, RNG()) == ((0, 2), None)
+        assert maker.state.stage_log == ["I", "II", "III"]
+        assert maker.state.claims_in_stage["III"] == 0
 
     def test_full_pipeline_reaches_later_stages_on_a_small_board(self):
         params = GameParams(n=8, a=2, b=1, goal="hamiltonicity")
@@ -265,22 +290,46 @@ class TestHam3StageMaker:
     @pytest.mark.parametrize("index", [0, 2])
     def test_saturated_stage1_hands_over_in_play(self, index):
         # Every vertex under degree 3 runs out of free edges in stage I;
-        # the plan passes on to stages II and III instead of raising.
+        # the plan passes on to stages II and III instead of raising, and
+        # stage III, its boosters all taken, claims fillers to the end.
         params = GameParams(n=10, a=1, b=2, goal="hamiltonicity")
         maker = Ham3StageMaker(params, degree_target=3)
         outcome, _ = play_game(params, maker, make_breaker("random", params),
                                seed=trial_seed(3, 0, index))
         assert maker.state.stage_log == ["I", "II", "III"]
         assert outcome.winner is Player.BREAKER
-        assert outcome.reason == REASON_GOAL_IMPOSSIBLE
+        assert outcome.reason == REASON_BOARD_EXHAUSTED
         assert outcome.decisive_round == 15
+
+    def test_goal_impossible_only_when_maker_plus_free_is_disconnected(self):
+        # A blocked stage III used to end the game as goal-impossible when
+        # the step that entered stage III came from stage I or II; games 1,
+        # 2, 13 and 16 of this set ended so while Maker could still connect.
+        n = 12
+        params = GameParams(n=n, a=1, b=2, goal="hamiltonicity")
+        winners = []
+        for index in range(20):
+            maker = Ham3StageMaker(params, degree_target=2)
+            outcome, trace = play_game(params, maker,
+                                       make_breaker("random", params),
+                                       seed=trial_seed(5, 0, index))
+            winners.append(outcome.winner)
+            if outcome.reason == REASON_GOAL_IMPOSSIBLE:
+                claimed = {mv.edge for mv in trace.moves}
+                open_to_maker = [mv.edge for mv in trace.moves
+                                 if mv.player is Player.MAKER]
+                open_to_maker += [(u, v) for u in range(n)
+                                  for v in range(u + 1, n)
+                                  if (u, v) not in claimed]
+                assert not _naive.connected(n, open_to_maker), index
+        assert winners[1] is Player.MAKER
 
     def test_degree_target_validation(self):
         with pytest.raises(InvalidParams):
             Ham3StageMaker(GameParams(n=6, goal="hamiltonicity"),
                            degree_target=0)
 
-    def test_default_expansion_parameter_is_floored_to_one(self):
+    def test_default_degree_target(self):
         maker = Ham3StageMaker(GameParams(n=20, goal="hamiltonicity"))
         assert maker.state.degree_target == DEGREE_TARGET
 
