@@ -3,8 +3,9 @@
 Every edge is free, Maker's or Breaker's.  Ownership is kept as one bitmask
 row per vertex and player: bit w of ``maker[v]`` (``breaker[v]``) is set
 when that player owns vw, exactly the adjacency rows of ``SimpleGraph``.
-Freeness comes from a free-edge pool, and per-vertex degree counters for
-both players keep the hot paths of the simulator O(1) per claim.
+An edge is free when neither row has its bit.  A free-edge pool serves
+uniform sampling, and per-vertex degree counters for both players keep the
+hot paths of the simulator O(1) per claim.
 
 Edges are plain ``(u, v)`` tuples with ``u < v``.  The pool keys an edge by
 its slot in the triangular order: ``u*n - u*(u+1)/2 + (v-u-1)``.  Boards of
@@ -145,12 +146,6 @@ class Board:
         self._free_pos = self._free.copy()
         self.free_count = self.m
 
-    def _index(self, edge: Edge) -> int:
-        u, v = edge
-        if not (0 <= u < v < self.n):
-            raise InvalidParams(f"edge {edge!r} is not a valid pair on {self.n} vertices")
-        return u * self.n - u * (u + 1) // 2 + (v - u - 1)
-
     def state_of(self, edge: Edge) -> Player | None:
         if self.is_free(edge):
             return None
@@ -158,13 +153,16 @@ class Board:
         return Player.MAKER if self.maker[u] >> v & 1 else Player.BREAKER
 
     def is_free(self, edge: Edge) -> bool:
-        return self._free_pos[self._index(edge)] < self.free_count
+        u, v = edge
+        if not (0 <= u < v < self.n):
+            raise InvalidParams(f"edge {edge!r} is not a valid pair on {self.n} vertices")
+        return not (self.maker[u] | self.breaker[u]) >> v & 1
 
     def claim(self, player: Player, edge: Edge) -> None:
         """Give ``edge`` to ``player``.
 
         Raises EdgeAlreadyClaimed (board untouched) if the edge is taken.
-        The slot is ``_index``'s, computed inline on this hot path.
+        Only this method maps an edge to its slot in the free pool.
         """
         u, v = edge
         n = self.n

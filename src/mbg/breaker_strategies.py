@@ -260,9 +260,9 @@ _BREAKERS = {"isolate": IsolateBreaker, "clique-box": CliqueBoxBreaker,
 BREAKER_STRATEGIES = tuple(_BREAKERS)
 
 
-def make_breaker(name: str, params: GameParams, **options) -> GameStrategy:
+def make_breaker(name: str, params: GameParams) -> GameStrategy:
     cls = _BREAKERS.get(name)
     if cls is None:
         raise InvalidParams(
             f"unknown breaker strategy {name!r}; expected one of {BREAKER_STRATEGIES}")
-    return cls(params, **options)
+    return cls(params)

@@ -213,7 +213,22 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Configuration files (plain key=value; command-line flags win)
+# Option parsing: one parser, config lines read as flags, one-line errors
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises every usage error as an MBGError, so main prints one line."""
+
+    def error(self, message: str):
+        raise MBGError(f"{self.prog}: {message}")
+
+
+def _config_parser() -> argparse.ArgumentParser:
+    """The ``--config`` option every subcommand shares."""
+    parser = _Parser(prog="mbg", add_help=False)
+    parser.add_argument("--config", metavar="FILE",
+                        help="key=value lines, read as --key=value flags")
+    return parser
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -230,23 +245,12 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace,
-             schema: dict[str, tuple]) -> dict[str, object]:
-    """Fill each option from flag, then config file, then builtin default."""
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    out: dict[str, object] = {}
-    for key, (builtin, cast) in schema.items():
-        value = getattr(args, key, None)
-        if value is None and key in config:
-            value = cast(config[key])
-        if value is None:
-            value = builtin
-        out[key] = value
-    return out
-
-
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +258,10 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    schema = {
-        "n": (20, int), "a": (1, int), "b": (1, int), "k": (1, int),
-        "goal": ("min-degree", str), "maker": ("min-deg", str),
-        "breaker": ("random", str), "seed": (0, int),
-    }
-    opts = _resolve(args, schema)
-    params = GameParams(n=opts["n"], a=opts["a"], b=opts["b"], k=opts["k"],
-                        goal=normalize_goal(opts["goal"]))
-    maker = make_maker(opts["maker"], params)
-    breaker = make_breaker(opts["breaker"], params)
-    outcome, trace = play_game(params, maker, breaker, seed=opts["seed"],
+    params = GameParams(n=args.n, a=args.a, b=args.b, k=args.k, goal=args.goal)
+    maker = make_maker(args.maker, params)
+    breaker = make_breaker(args.breaker, params)
+    outcome, trace = play_game(params, maker, breaker, seed=args.seed,
                                early_stop=not args.no_early_stop)
     if args.trace_out:
         write_trace(args.trace_out, trace, outcome=outcome)
@@ -276,21 +273,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    schema = {
-        "n": (40, int), "a": (1, int), "k": (1, int),
-        "goal": ("min-degree", str), "maker": ("min-deg", str),
-        "breaker": ("random", str), "seed": (0, int), "trials": (100, int),
-        "b_min": (1, int), "b_max": (20, int), "b_values": (None, _int_list),
-        "out": (None, str),
-    }
-    opts = _resolve(args, schema)
-    b_values = opts["b_values"] or tuple(range(opts["b_min"],
-                                               opts["b_max"] + 1))
-    spec = SweepSpec(n=opts["n"], a=opts["a"], k=opts["k"],
-                     goal=normalize_goal(opts["goal"]), b_values=b_values,
-                     trials=opts["trials"], maker=opts["maker"],
-                     breaker=opts["breaker"], master_seed=opts["seed"],
-                     out_path=opts["out"])
+    b_values = args.b_values or tuple(range(args.b_min, args.b_max + 1))
+    spec = SweepSpec(n=args.n, a=args.a, k=args.k,
+                     goal=normalize_goal(args.goal), b_values=b_values,
+                     trials=args.trials, maker=args.maker,
+                     breaker=args.breaker, master_seed=args.seed,
+                     out_path=args.out)
     result = run_sweep(spec)
     for cell in result.cells:
         print(f"b={cell.b} win_rate={cell.win_rate:.6f} "
@@ -422,37 +410,43 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mbg",
         description="Biased Maker-Breaker games on complete graphs: "
                     "simulation, sweeps, box games, graph oracles, audits.")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_config_parser()]
 
-    sim = sub.add_parser("simulate", help="play one game")
-    for flag in ("n", "a", "b", "k", "seed"):
-        sim.add_argument(f"--{flag}", type=int)
-    sim.add_argument("--goal", choices=GOALS + ("min-degree-k", "mindeg"))
-    sim.add_argument("--maker", choices=MAKER_STRATEGIES)
-    sim.add_argument("--breaker", choices=BREAKER_STRATEGIES)
+    def command(name: str, func, text: str) -> argparse.ArgumentParser:
+        parsed = sub.add_parser(name, parents=common, help=text)
+        parsed.set_defaults(func=func)
+        return parsed
+
+    sim = command("simulate", cmd_simulate, "play one game")
+    sweep = command("sweep", cmd_sweep, "bias sweep with CSV output")
+    for parsed, n in ((sim, 20), (sweep, 40)):
+        for flag, default in (("n", n), ("a", 1), ("k", 1), ("seed", 0)):
+            parsed.add_argument(f"--{flag}", type=int, default=default)
+        parsed.add_argument("--goal", default="min-degree",
+                            choices=GOALS + ("min-degree-k", "mindeg"))
+        parsed.add_argument("--maker", choices=MAKER_STRATEGIES,
+                            default="min-deg")
+        parsed.add_argument("--breaker", choices=BREAKER_STRATEGIES,
+                            default="random")
+
+    sim.add_argument("--b", type=int, default=1)
     sim.add_argument("--trace-out", help="write the game trace to this file")
     sim.add_argument("--no-early-stop", action="store_true",
                      help="play to exhaustion even after the game is decided")
-    sim.add_argument("--config", help="key=value defaults file")
-    sim.set_defaults(func=cmd_simulate)
 
-    sweep = sub.add_parser("sweep", help="bias sweep with CSV output")
-    for flag in ("n", "a", "k", "seed", "trials", "b-min", "b-max"):
-        sweep.add_argument(f"--{flag}", type=int)
-    sweep.add_argument("--goal", choices=GOALS + ("min-degree-k", "mindeg"))
-    sweep.add_argument("--maker", choices=MAKER_STRATEGIES)
-    sweep.add_argument("--breaker", choices=BREAKER_STRATEGIES)
+    sweep.add_argument("--trials", type=int, default=100)
+    sweep.add_argument("--b-min", type=int, default=1)
+    sweep.add_argument("--b-max", type=int, default=20)
     sweep.add_argument("--b-values", type=_int_list,
                        help="comma-separated biases; overrides --b-min/max")
     sweep.add_argument("--out", help="CSV output path")
-    sweep.add_argument("--config", help="key=value defaults file")
-    sweep.set_defaults(func=cmd_sweep)
 
-    box = sub.add_parser("boxgame", help="box game bounds and solving")
+    box = command("boxgame", cmd_boxgame, "box game bounds and solving")
     box.add_argument("mode", choices=("f", "solve", "grid"))
     box.add_argument("--k", type=int, default=1)
     box.add_argument("--p", type=int, default=1)
@@ -467,9 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
                      default="boxmaker")
     box.add_argument("--max-k", type=int, default=SOLVER_MAX_BOXES)
     box.add_argument("--max-t", type=int, default=SOLVER_MAX_BALLS)
-    box.set_defaults(func=cmd_boxgame)
 
-    oracle = sub.add_parser("oracle", help="graph checks on an edge list")
+    oracle = command("oracle", cmd_oracle, "graph checks on an edge list")
     oracle.add_argument("--n", type=int, required=True)
     oracle.add_argument("--edges", required=True,
                         help="edge list file, '-' for stdin")
@@ -478,27 +471,31 @@ def build_parser() -> argparse.ArgumentParser:
                                  "expander"))
     oracle.add_argument("--k", type=int, default=1,
                         help="expansion parameter for --check expander")
-    oracle.set_defaults(func=cmd_oracle)
 
-    verify = sub.add_parser("verify", help="audit traces or fresh games")
+    verify = command("verify", cmd_verify, "audit traces or fresh games")
     verify.add_argument("--trace", help="trace file to audit")
     verify.add_argument("--round", type=int)
     verify.add_argument("--vertex", type=int)
     verify.add_argument("--r", type=int, help="override the split parameter")
-    verify.add_argument("--random-games", type=int, default=0)
-    verify.add_argument("--n", type=int, default=20)
-    verify.add_argument("--a", type=int, default=1)
-    verify.add_argument("--b", type=int, default=3)
-    verify.add_argument("--k", type=int, default=1)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.set_defaults(func=cmd_verify)
+    for flag, default in (("random-games", 0), ("n", 20), ("a", 1), ("b", 3),
+                          ("k", 1), ("seed", 0)):
+        verify.add_argument(f"--{flag}", type=int, default=default)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; bad input ends in one ``error:`` line, exit 2.
+
+    A ``--config`` file's ``key=value`` lines go in as ``--key=value`` flags
+    right after the subcommand, so the command line's own flags win.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        path = _config_parser().parse_known_args(argv)[0].config
+        if path:
+            argv[1:1] = [f"--{key.replace('_', '-')}={value}"
+                         for key, value in _load_config(path).items()]
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (MBGError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -76,33 +76,28 @@ def min_degree(g: SimpleGraph) -> int:
     return min(g.degree(v) for v in range(g.n))
 
 
-def is_connected(g: SimpleGraph) -> bool:
-    """Spanning connectivity: every vertex reachable from vertex 0."""
-    full = (1 << g.n) - 1
-    seen = 1
-    frontier = 1
+def _reach(adj: list[int], seen: int) -> int:
+    """Mask of every vertex reachable from the vertices of ``seen``."""
+    frontier = seen
     while frontier:
         nxt = 0
         for v in bits(frontier):
-            nxt |= g.adj[v]
+            nxt |= adj[v]
         frontier = nxt & ~seen
         seen |= frontier
-    return seen == full
+    return seen
+
+
+def is_connected(g: SimpleGraph) -> bool:
+    """Spanning connectivity: every vertex reachable from vertex 0."""
+    return _reach(g.adj, 1) == (1 << g.n) - 1
 
 
 def connected_components(g: SimpleGraph) -> list[list[int]]:
     comps = []
     unseen = (1 << g.n) - 1
     while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
+        seen = _reach(g.adj, unseen & -unseen)
         comps.append(bits(seen))
         unseen &= ~seen
     return comps

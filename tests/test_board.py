@@ -42,13 +42,29 @@ class TestGameParams:
         assert GameParams(n=5, goal="mindeg").goal == "min-degree"
 
 
-def test_edge_index_matches_enumeration_order():
-    n = 7
+def test_claims_in_any_order_keep_every_view_of_freeness_agreeing():
+    n = 6
     board = Board(n)
-    expected = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for i, edge in enumerate(expected):
-        assert board._index(edge) == i
-    assert list(board.free_edges()) == expected
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    assert list(board.free_edges()) == edges
+    order = edges.copy()
+    random.Random(4).shuffle(order)
+    owners = {}
+    rng = random.Random(5)
+    for step, edge in enumerate(order):
+        player = Player.MAKER if step % 3 == 0 else Player.BREAKER
+        board.claim(player, edge)
+        owners[edge] = player
+        free = [e for e in edges if e not in owners]
+        assert board.free_count == len(free)
+        assert list(board.free_edges()) == free
+        for e in edges:
+            assert board.is_free(e) == (e not in owners)
+            assert board.state_of(e) is owners.get(e)
+        if free:
+            assert all(board.random_free_edge(rng) in free for _ in range(10))
+    with pytest.raises(NoFreeEdge):
+        board.random_free_edge(rng)
 
 
 class TestBoard:
@@ -78,6 +94,13 @@ class TestBoard:
     def test_malformed_edges_rejected(self, edge):
         with pytest.raises(InvalidParams):
             Board(5).claim(Player.MAKER, edge)
+
+    @pytest.mark.parametrize("edge", [(1, 0), (0, 0), (0, 9), (-1, 2)])
+    def test_malformed_edges_rejected_by_lookups(self, edge):
+        board = Board(5)
+        for lookup in (board.is_free, board.state_of):
+            with pytest.raises(InvalidParams, match="not a valid pair on 5"):
+                lookup(edge)
 
     def test_free_incident_edges_ascend_by_other_endpoint(self):
         board = Board(5)

@@ -1,7 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
+from mbg import boxgame
 from mbg.boxgame import (SOLVER_MAX_BALLS, SOLVER_MAX_BOXES, BoxInstance,
                          BoxPlayState, BoxPlayer, boxmaker_balancing_move,
                          boxmaker_sufficient, canonical_instance, f_box,
@@ -26,6 +28,20 @@ class TestThresholdFunction:
     def test_large_k_needs_no_recursion(self):
         # f(k; 1, 1) = k for every k >= 2
         assert f_box(5000, 1, 1) == 5000
+
+    def test_huge_k_is_refused_before_the_loop(self):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="f_box capped"):
+            f_box(10**9, 1, 1)
+        assert time.perf_counter() - start < 0.1
+
+    def test_step_cap_boundary(self, monkeypatch):
+        # f_box takes (k-q-1)//q steps: 3 at k = 4q+1 to 5q, 4 at k = 5q+1
+        monkeypatch.setattr(boxgame, "F_BOX_MAX_STEPS", 3)
+        q = 4
+        assert f_box(5 * q, 2, q) == 28
+        with pytest.raises(TooLarge):
+            f_box(5 * q + 1, 2, q)
 
     def test_rejects_nonpositive_parameters(self):
         for bad in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:

@@ -10,6 +10,7 @@ from mbg import harness
 from mbg.board import GameParams
 from mbg.engine import play_game, read_trace, trace_to_json, write_trace
 from mbg.errors import InvalidParams, MBGError
+from mbg.boxgame import f_box
 from mbg.harness import (CellResult, SweepSpec, _estimate_threshold,
                          _int_list, _load_config, main, reference_threshold,
                          run_sweep, trial_seed, worker_count)
@@ -229,6 +230,59 @@ class TestConfigHandling:
         assert overridden == capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("lines, message", [
+        ("n=abc\n", "mbg simulate: argument --n: invalid int value: 'abc'"),
+        ("goal=domination\n", "mbg simulate: argument --goal: invalid choice"),
+        ("frobnicate=1\n", "mbg: unrecognized arguments: --frobnicate=1"),
+        ("no-early-stop=yes\n", "--no-early-stop: ignored explicit argument")])
+    def test_bad_config_lines_are_one_line_errors(self, tmp_path, capsys,
+                                                  lines, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(lines, encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_config_checks_keys_against_its_own_subcommand(self, tmp_path,
+                                                           capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("n=8\ntrials=2\nb_values=1,x\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "argument --b-values: expected comma-separated integers" in \
+            capsys.readouterr().err
+        cfg.write_text("n=14\nrandom_games=3\n", encoding="utf-8")
+        assert main(["boxgame", "f", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: mbg: unrecognized arguments: --n=14 --random-games=3\n")
+
+    def test_every_subcommand_takes_a_config(self, tmp_path, capsys):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("random-games=5\nn=14\nb=5\nk=2\nseed=1\n",
+                       encoding="utf-8")
+        assert main(["verify", "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["verify", "--random-games", "5", "--n", "14",
+                     "--b", "5", "--k", "2", "--seed", "1"]) == 0
+        assert from_config == capsys.readouterr().out
+
+        edges = tmp_path / "c3.txt"
+        edges.write_text("0 1\n1 2\n0 2\n", encoding="utf-8")
+        cfg = tmp_path / "oracle.cfg"
+        # required options may come from the file alone
+        cfg.write_text(f"n=3\nedges={edges}\ncheck=hamiltonian\n",
+                       encoding="utf-8")
+        assert main(["oracle", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == "hamiltonian=true\n"
+
+        cfg = tmp_path / "box.cfg"
+        cfg.write_text("k=5\np=5\nq=2\n", encoding="utf-8")
+        assert main(["boxgame", "f", "--config", str(cfg), "--q", "1"]) == 0
+        assert capsys.readouterr().out == f"{f_box(5, 5, 1)}\n"
+
+
 def test_int_list():
     assert _int_list("1,2,3") == (1, 2, 3)
     assert _int_list(" 4 , 5 ") == (4, 5)
@@ -296,10 +350,11 @@ class TestCli:
         assert capsys.readouterr().out.strip() == "BoxBreaker"
 
     def test_boxgame_rejects_non_integer_sizes(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["boxgame", "solve", "--sizes", "2,x"])
-        assert exc.value.code == 2
-        assert "argument --sizes: invalid" in capsys.readouterr().err
+        assert main(["boxgame", "solve", "--sizes", "2,x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: mbg boxgame: argument --sizes: "
+                                "expected comma-separated integers, got '2,x'\n")
+        assert captured.out == ""
 
     def test_boxgame_grid(self, capsys):
         assert main(["boxgame", "grid", "--max-k", "2", "--max-t", "3",
@@ -431,9 +486,34 @@ class TestCli:
         assert main(["simulate", "--n", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_unknown_subcommand_is_a_usage_error(self):
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])
+    def test_unknown_subcommand_is_a_usage_error(self, capsys):
+        assert main(["frobnicate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mbg: argument command: invalid choice: "
+                              "'frobnicate'")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--n", "x"], "mbg simulate: argument --n: invalid int"),
+        (["sweep", "--b-values", "3,x"], "mbg sweep: argument --b-values:"),
+        (["verify", "--frobnicate"], "mbg: unrecognized arguments: --frobnicate"),
+        (["oracle", "--n", "3"], "mbg oracle: the following arguments are "
+                                 "required: --edges, --check"),
+        (["simulate", "--config"], "argument --config: expected one argument"),
+        ([], "mbg: the following arguments are required: command")])
+    def test_usage_errors_are_one_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "-h"])
+        assert exc.value.code == 0
+        assert "--config FILE" in capsys.readouterr().out
 
 
 def test_isolate_sweep_packaging():
