@@ -24,10 +24,9 @@ from .errors import (BoxesExhausted, EdgeAlreadyClaimed, InvalidParams,
                      TooLarge, TraceIncompatible)
 from .harness import SweepSpec, main, run_sweep, trial_seed
 from .maker_strategies import (MAKER_STRATEGIES, Ham3StageMaker, MinDegMaker,
-                               RandomMaker, danger, make_maker)
+                               RandomMaker, make_maker)
 from .oracles import (SimpleGraph, boosters, is_connected, is_hamiltonian,
-                      is_k_expander, longest_path_order, min_degree,
-                      petersen_graph)
+                      is_k_expander, longest_path_order, min_degree)
 
 __version__ = "0.1.0"
 
@@ -41,9 +40,9 @@ __all__ = [
     "SimpleGraph", "StageBlocked", "StrategyInfeasible", "StrategyViolation",
     "SweepSpec", "TooLarge", "TraceIncompatible", "audit_game", "boosters",
     "boxmaker_sufficient", "canonical_audit_point", "canonical_instance",
-    "check_potential_lemmas", "danger", "f_box", "f_lower_bound", "harmonic",
+    "check_potential_lemmas", "f_box", "f_lower_bound", "harmonic",
     "harmonic_bounds_ok", "is_connected", "is_hamiltonian", "is_k_expander",
     "longest_path_order", "main", "make_breaker", "make_maker", "min_degree",
-    "new_board", "petersen_graph", "play_game", "read_trace", "replay_trace",
+    "new_board", "play_game", "read_trace", "replay_trace",
     "reconstruct_multisets", "run_sweep", "trial_seed", "write_trace",
 ]

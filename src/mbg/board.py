@@ -8,9 +8,10 @@ uniform sampling, and per-vertex degree counters for both players keep the
 hot paths of the simulator O(1) per claim.
 
 Edges are plain ``(u, v)`` tuples with ``u < v``.  The pool keys an edge by
-its slot in the triangular order: ``u*n - u*(u+1)/2 + (v-u-1)``.  Boards of
-the same n share one immutable slot-to-edge table; only the last n's table
-is kept.
+its slot in the triangular order: ``u*n - u*(u+1)/2 + (v-u-1)``.  ``claim``
+encodes with that formula and ``random_free_edge`` inverts it arithmetically,
+so the board keeps no slot-to-edge table: its memory is the pool, two lists
+of m = n(n-1)/2 slots.
 """
 
 from __future__ import annotations
@@ -18,16 +19,15 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import lru_cache
-from itertools import combinations
+from math import isqrt
 
 from .errors import EdgeAlreadyClaimed, InvalidParams, NoFreeEdge
 
 Edge = tuple[int, int]
 
-# Largest board: the slot tables grow as n^2 (about 53 MB for the first board
-# at n = 1000, 23 MB for each further one, which shares the edge table).
-MAX_N = 1000
+# Largest board: the free pool grows as n^2 (about 24 MB per board at
+# n = 1000 and 96 MB at n = 2000, in tracemalloc).
+MAX_N = 2000
 
 
 class Player(Enum):
@@ -41,19 +41,6 @@ MAKER = Player.MAKER
 
 
 GOALS = ("min-degree", "connectivity", "hamiltonicity")
-
-# The CLI and older call sites may spell the degree goal with its parameter.
-_GOAL_ALIASES = {
-    "min-degree-k": "min-degree",
-    "mindeg": "min-degree",
-}
-
-
-def normalize_goal(goal: str) -> str:
-    goal = _GOAL_ALIASES.get(goal, goal)
-    if goal not in GOALS:
-        raise InvalidParams(f"unknown goal {goal!r}; expected one of {GOALS}")
-    return goal
 
 
 @dataclass(frozen=True)
@@ -72,7 +59,8 @@ class GameParams:
     goal: str = "min-degree"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "goal", normalize_goal(self.goal))
+        if self.goal not in GOALS:
+            raise InvalidParams(f"unknown goal {self.goal!r}; expected one of {GOALS}")
         m = self.n * (self.n - 1) // 2
         if not (3 <= self.n <= MAX_N):
             raise InvalidParams(f"n must be in [3, {MAX_N}], got {self.n}")
@@ -114,17 +102,11 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=1)
-def _edge_table(n: int) -> tuple[Edge, ...]:
-    """Every edge of K_n in slot order, shared by the boards of one n."""
-    return tuple(combinations(range(n), 2))
-
-
 class Board:
     """Mutable claim state of K_n's edge set."""
 
-    __slots__ = ("n", "m", "maker", "breaker", "dM", "dB", "_full", "_edges",
-                 "_free", "_free_pos", "free_count")
+    __slots__ = ("n", "m", "maker", "breaker", "dM", "dB", "_full", "_free",
+                 "_free_pos", "free_count")
 
     def __init__(self, n: int):
         if not (3 <= n <= MAX_N):
@@ -134,7 +116,6 @@ class Board:
         self.maker = [0] * n
         self.breaker = [0] * n
         self._full = (1 << n) - 1
-        self._edges = _edge_table(n)
         self.dM = [0] * n
         self.dB = [0] * n
         # Free pool with positional index, so claims are O(1) and uniform
@@ -162,7 +143,8 @@ class Board:
         """Give ``edge`` to ``player``.
 
         Raises EdgeAlreadyClaimed (board untouched) if the edge is taken.
-        Only this method maps an edge to its slot in the free pool.
+        Only this method maps an edge to its slot in the free pool;
+        ``random_free_edge`` inverts the mapping.
         """
         u, v = edge
         n = self.n
@@ -217,10 +199,16 @@ class Board:
         raise NoFreeEdge("board exhausted")
 
     def random_free_edge(self, rng) -> Edge:
-        """A uniformly random free edge; NoFreeEdge when none is."""
+        """A uniformly random free edge; NoFreeEdge when none is.
+
+        The drawn slot is decoded by inverting ``claim``'s formula from the
+        far end: the t = n-2-u rows after row u hold t(t+1)/2 slots.
+        """
         if self.free_count == 0:
             raise NoFreeEdge("board exhausted")
-        return self._edges[self._free[rng.randrange(self.free_count)]]
+        rest = self.m - 1 - self._free[rng.randrange(self.free_count)]
+        t = (isqrt(8 * rest + 1) - 1) // 2
+        return self.n - 2 - t, self.n - 1 - rest + t * (t + 1) // 2
 
     def free_edges(self) -> Iterator[Edge]:
         """All free edges in lexicographic order, generated lazily."""

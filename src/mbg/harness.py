@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from .audit import audit_game, check_potential_lemmas, reconstruct_multisets
-from .board import GOALS, GameParams, Player, normalize_goal, parse_edge_list
+from .board import GOALS, GameParams, Player, parse_edge_list
 from .boxgame import (SOLVER_MAX_BALLS, SOLVER_MAX_BOXES, BoxInstance,
                       BoxPlayer, f_box, f_lower_bound, boxmaker_sufficient,
                       canonical_instance, solve_exhaustive)
@@ -275,7 +275,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     b_values = args.b_values or tuple(range(args.b_min, args.b_max + 1))
     spec = SweepSpec(n=args.n, a=args.a, k=args.k,
-                     goal=normalize_goal(args.goal), b_values=b_values,
+                     goal=args.goal, b_values=b_values,
                      trials=args.trials, maker=args.maker,
                      breaker=args.breaker, master_seed=args.seed,
                      out_path=args.out)
@@ -295,9 +295,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_boxgame(args: argparse.Namespace) -> int:
     if args.mode == "f":
         value = f_box(args.k, args.p, args.q)
+        bound = f_lower_bound(args.k, args.p, args.q) if args.lower else None
         print(value)
-        if args.lower:
-            bound = f_lower_bound(args.k, args.p, args.q)
+        if bound is not None:
             print(f"lower_bound={float(bound):.4f}")
         return 0
     if args.mode == "solve":
@@ -427,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     for parsed, n in ((sim, 20), (sweep, 40)):
         for flag, default in (("n", n), ("a", 1), ("k", 1), ("seed", 0)):
             parsed.add_argument(f"--{flag}", type=int, default=default)
-        parsed.add_argument("--goal", default="min-degree",
-                            choices=GOALS + ("min-degree-k", "mindeg"))
+        parsed.add_argument("--goal", default="min-degree", choices=GOALS)
         parsed.add_argument("--maker", choices=MAKER_STRATEGIES,
                             default="min-deg")
         parsed.add_argument("--breaker", choices=BREAKER_STRATEGIES,

@@ -1,8 +1,7 @@
 """Maker-side strategies.
 
 The shared primitive is the danger of a vertex, D(v) = dB(v) - (2b/a) dM(v),
-kept exact as a rational.  Comparisons use the integer scaling a*D(v) so the
-hot paths never touch Fraction arithmetic.
+compared through its integer scaling a*D(v) = a*dB(v) - 2b*dM(v).
 
 ``MinDegMaker`` eases the most endangered vertex that still needs degree and
 wins min-degree games; ``Ham3StageMaker`` builds a Hamilton cycle in three
@@ -12,7 +11,6 @@ stages (raise all degrees, connect the components, then claim boosters).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 from .board import Board, Edge, GameParams, Player
@@ -24,13 +22,6 @@ from .oracles import (SimpleGraph, boosters, connected_components,
 # every vertex to; a lower ``degree_target`` lets small boards reach stages
 # II and III.
 DEGREE_TARGET = 16
-
-
-def danger(board: Board, v: int, a: int, b: int) -> Fraction:
-    """D(v) = dB(v) - (2b/a) * dM(v), exact."""
-    if not (0 <= v < board.n):
-        raise InvalidParams(f"vertex {v} out of range")
-    return Fraction(a * board.dB[v] - 2 * b * board.dM[v], a)
 
 
 class GameStrategy:

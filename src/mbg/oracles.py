@@ -309,11 +309,3 @@ def boosters(g: SimpleGraph) -> BoosterSet:
         pairs = _joined_pairs(ends, 0, n - 1 - base)
     return BoosterSet(frozenset((u, v) for u, v in g.non_edges()
                                 if pairs[u] >> v & 1), False)
-
-
-def petersen_graph() -> SimpleGraph:
-    """The Petersen graph: outer 5-cycle, inner 5-star, spokes."""
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    return SimpleGraph(10, outer + inner + spokes)

@@ -2,6 +2,7 @@
 
 Everything here favors obvious correctness over speed: plain backtracking,
 exhaustive subset enumeration, dict-of-sets adjacency.  Keep inputs tiny.
+The small fixture graphs the oracle tests share live here too.
 """
 
 from fractions import Fraction
@@ -11,8 +12,16 @@ from mbg.audit import DegreeSnapshot, PotentialAudit, default_split_point
 from mbg.board import Board, Player
 from mbg.engine import GameTrace, replay_trace
 from mbg.errors import InvalidParams, NotConnected, TraceIncompatible
-from mbg.oracles import (BoosterSet, is_connected, is_hamiltonian,
-                         longest_path_order)
+from mbg.oracles import (BoosterSet, SimpleGraph, is_connected,
+                         is_hamiltonian, longest_path_order)
+
+
+def petersen_graph():
+    """The Petersen graph: outer 5-cycle, inner 5-star, spokes."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return SimpleGraph(10, outer + inner + spokes)
 
 
 def adjacency(n, edges):

@@ -1,10 +1,12 @@
 import random
 import tracemalloc
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from mbg.board import (MAX_N, Board, GameParams, Player, new_board,
-                       normalize_goal, parse_edge_list)
+                       parse_edge_list)
 from mbg.errors import EdgeAlreadyClaimed, InvalidParams, NoFreeEdge
 from mbg.oracles import SimpleGraph
 
@@ -22,6 +24,7 @@ class TestGameParams:
         dict(n=5, k=0),
         dict(n=5, k=5),
         dict(n=5, goal="domination"),
+        dict(n=5, goal="mindeg"),  # the goal has one spelling
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidParams):
@@ -35,11 +38,6 @@ class TestGameParams:
     def test_dict_round_trip(self):
         p = GameParams(n=12, a=2, b=5, k=2, goal="min-degree")
         assert GameParams.from_dict(p.as_dict()) == p
-
-    def test_goal_aliases(self):
-        assert normalize_goal("mindeg") == "min-degree"
-        assert normalize_goal("min-degree-k") == "min-degree"
-        assert GameParams(n=5, goal="mindeg").goal == "min-degree"
 
 
 def test_claims_in_any_order_keep_every_view_of_freeness_agreeing():
@@ -166,13 +164,42 @@ class TestBoard:
         with pytest.raises(NoFreeEdge):
             board.lowest_free_edge()
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 12, 50])
+    def test_random_free_edge_decodes_every_slot_in_combinations_order(self, n):
+        class SlotRng:
+            slot = 0
+
+            def randrange(self, stop):
+                return self.slot
+
+        board, rng = Board(n), SlotRng()
+        for rng.slot, edge in enumerate(combinations(range(n), 2)):
+            assert board.random_free_edge(rng) == edge
+        assert rng.slot == board.m - 1
+
+    def test_random_free_edge_is_uniform_over_the_free_edges(self):
+        board = Board(8)
+        claims = random.Random(3).sample(list(board.free_edges()), 10)
+        for step, edge in enumerate(claims):
+            board.claim(Player.MAKER if step % 2 else Player.BREAKER, edge)
+        free = list(board.free_edges())
+        assert len(free) == 18
+        rng = random.Random(11)
+        draws = 18 * 1000
+        counts = Counter(board.random_free_edge(rng) for _ in range(draws))
+        assert set(counts) == set(free)
+        expected = draws / len(free)
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        # 17 degrees of freedom: P(chi2 > 40.79) = 0.001 for a uniform draw
+        assert chi2 < 40.79
+
     def test_new_board_small_n_rejected(self):
         with pytest.raises(InvalidParams):
             new_board(2)
 
     def test_n_beyond_the_cap_rejected_before_any_allocation(self):
-        # a board of MAX_N + 1 vertices would hold about 5 * 10^5 edge
-        # slots (tens of MB); the check must come before the tables
+        # a board of MAX_N + 1 vertices would hold about 2 * 10^6 edge
+        # slots (about 100 MB); the check must come before the pool
         tracemalloc.start()
         try:
             with pytest.raises(InvalidParams, match=str(MAX_N)):

@@ -57,6 +57,20 @@ class TestThresholdFunction:
         with pytest.raises(PreconditionFailed):
             f_lower_bound(5, 2, 2)  # p - q - 1 < 0
 
+    def test_lower_bound_term_cap_boundary(self, monkeypatch):
+        # the sum runs to ceil(k/q)-1: 3 at k = 3q+1 to 4q, 4 at k = 4q+1
+        monkeypatch.setattr(boxgame, "F_LOWER_BOUND_MAX_TERMS", 3)
+        q = 2
+        assert f_lower_bound(4 * q, 4, q) == Fraction(103, 3)
+        with pytest.raises(TooLarge, match="f_lower_bound capped"):
+            f_lower_bound(4 * q + 1, 4, q)
+
+    def test_huge_k_lower_bound_is_refused_before_the_sum(self):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="f_lower_bound capped"):
+            f_lower_bound(10**9, 3, 1)
+        assert time.perf_counter() - start < 0.1
+
     @pytest.mark.parametrize("k,p,q", [
         (3, 2, 1), (10, 3, 1), (7, 4, 2), (50, 6, 3), (123, 9, 4),
     ])

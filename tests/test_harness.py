@@ -344,6 +344,19 @@ class TestCli:
                      "--lower"]) == 0
         assert capsys.readouterr().out == "30\nlower_bound=26.5000\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["boxgame", "f", "--k", "100000", "--p", "3", "--lower"],
+         "f_lower_bound capped at ceil(k/q)-1 <= 10000 terms, got k=100000, q=1"),
+        (["simulate", "--n", "2001"], "n must be in [3, 2000], got 2001"),
+        (["simulate", "--goal", "mindeg"],
+         "mbg simulate: argument --goal: invalid choice: 'mindeg'")])
+    def test_out_of_range_input_is_one_error_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: " + message)
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_boxgame_solve(self, capsys):
         assert main(["boxgame", "solve", "--sizes", "2,2",
                      "--p", "1", "--q", "1"]) == 0

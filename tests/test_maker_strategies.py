@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -10,7 +9,7 @@ from mbg.engine import (REASON_BOARD_EXHAUSTED, REASON_GOAL_ACHIEVED,
 from mbg.errors import InvalidParams, NoFreeEdge, StageBlocked
 from mbg.maker_strategies import (DEGREE_TARGET, GameStrategy,
                                   Ham3StageMaker, MinDegMaker, RandomMaker,
-                                  danger, ham_stage1_step, ham_stage2_move,
+                                  ham_stage1_step, ham_stage2_move,
                                   ham_stage3_move, make_maker, min_deg_step,
                                   most_endangered)
 from mbg.breaker_strategies import make_breaker
@@ -44,18 +43,6 @@ class _CheckedStage3:
             assert edge == min(e for e in ref.edges if board.is_free(e))
             self.deficiencies.append(g.n - longest_path_order(g))
         return edge, target
-
-
-def test_danger_is_exact():
-    board = Board(6)
-    board.claim(Player.BREAKER, (0, 1))
-    board.claim(Player.BREAKER, (0, 2))
-    board.claim(Player.MAKER, (0, 3))
-    # dB(0)=2, dM(0)=1, a=2, b=3: 2 - (6/2)*1
-    assert danger(board, 0, a=2, b=3) == Fraction(-1)
-    assert danger(board, 4, a=2, b=3) == 0
-    with pytest.raises(InvalidParams):
-        danger(board, 6, a=1, b=1)
 
 
 class TestMinDegStep:
