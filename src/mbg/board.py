@@ -9,9 +9,9 @@ hot paths of the simulator O(1) per claim.
 
 Edges are plain ``(u, v)`` tuples with ``u < v``.  The pool keys an edge by
 its slot in the triangular order: ``u*n - u*(u+1)/2 + (v-u-1)``.  ``claim``
-encodes with that formula and ``random_free_edge`` inverts it arithmetically,
-so the board keeps no slot-to-edge table: its memory is the pool, two lists
-of m = n(n-1)/2 slots.
+encodes a planned edge with that formula; ``claim_random`` draws pool
+positions and inverts it arithmetically, so the board keeps no slot-to-edge
+table: its memory is the pool, two lists of m = n(n-1)/2 slots.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class Board:
 
         Raises EdgeAlreadyClaimed (board untouched) if the edge is taken.
         Only this method maps an edge to its slot in the free pool;
-        ``random_free_edge`` inverts the mapping.
+        ``claim_random`` inverts the mapping.
         """
         u, v = edge
         n = self.n
@@ -198,17 +198,56 @@ class Board:
                 return u, u + (ahead & -ahead).bit_length()
         raise NoFreeEdge("board exhausted")
 
-    def random_free_edge(self, rng) -> Edge:
-        """A uniformly random free edge; NoFreeEdge when none is.
+    def claim_random(self, player: Player, rng, count: int,
+                     limit: int) -> list[Edge]:
+        """Give ``player`` up to ``count`` uniformly random free edges.
 
-        The drawn slot is decoded by inverting ``claim``'s formula from the
-        far end: the t = n-2-u rows after row u hold t(t+1)/2 slots.
+        Each draw takes a position below ``free_count`` with CPython's own
+        ``randrange`` algorithm on ``rng.getrandbits`` (so the random stream
+        is that of ``rng.randrange(free_count)``), decodes the pool slot
+        there by inverting ``claim``'s formula from the far end (the
+        t = n-2-u rows after row u hold t(t+1)/2 slots) and swaps it past
+        the free prefix, a partial Fisher-Yates shuffle of the pool.  Stops
+        after the first claim that lifts an endpoint's degree for ``player``
+        above ``limit``, or once no edge is free.  Returns the claimed edges
+        in draw order; NoFreeEdge when no edge is free at the call.
         """
-        if self.free_count == 0:
+        free_count = self.free_count
+        if free_count == 0:
             raise NoFreeEdge("board exhausted")
-        rest = self.m - 1 - self._free[rng.randrange(self.free_count)]
-        t = (isqrt(8 * rest + 1) - 1) // 2
-        return self.n - 2 - t, self.n - 1 - rest + t * (t + 1) // 2
+        if player is MAKER:
+            rows, degree = self.maker, self.dM
+        else:
+            rows, degree = self.breaker, self.dB
+        free, free_pos = self._free, self._free_pos
+        getrandbits = rng.getrandbits
+        n, top = self.n, self.m - 1
+        claimed = []
+        for _ in range(min(count, free_count)):
+            bits_needed = free_count.bit_length()
+            pos = getrandbits(bits_needed)
+            while pos >= free_count:
+                pos = getrandbits(bits_needed)
+            free_count -= 1
+            idx = free[pos]
+            last = free[free_count]
+            free[pos] = last
+            free_pos[last] = pos
+            free[free_count] = idx
+            free_pos[idx] = free_count
+            rest = top - idx
+            t = (isqrt(8 * rest + 1) - 1) // 2
+            u = n - 2 - t
+            v = n - 1 - rest + t * (t + 1) // 2
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            degree[u] += 1
+            degree[v] += 1
+            claimed.append((u, v))
+            if degree[u] > limit or degree[v] > limit:
+                break
+        self.free_count = free_count
+        return claimed
 
     def free_edges(self) -> Iterator[Edge]:
         """All free edges in lexicographic order, generated lazily."""

@@ -57,18 +57,25 @@ def f_box(k: int, p: int, q: int) -> int:
     return value
 
 
-# Cached partial sums of 1/j starting at j=2, used by f_lower_bound.
-_RECIP_SUMS: list[Fraction] = [Fraction(0), Fraction(0)]
+# The last partial sum of 1/j from j = 2 that was asked for, as (limit, sum).
+# A larger limit extends it and a smaller one sums afresh, so the cache is
+# one exact sum: keeping every partial sum cost 24 MB at 10^4 terms, because
+# the denominators grow like lcm(2..j).
+_last_recip_sum: tuple[int, Fraction] = (1, Fraction(0))
 
 
 def _reciprocal_sum(limit: int) -> Fraction:
     """Exact sum of 1/j for j in [2, limit]; zero when limit < 2."""
+    global _last_recip_sum
     if limit < 2:
         return Fraction(0)
-    while len(_RECIP_SUMS) <= limit:
-        j = len(_RECIP_SUMS)
-        _RECIP_SUMS.append(_RECIP_SUMS[-1] + Fraction(1, j))
-    return _RECIP_SUMS[limit]
+    start, total = _last_recip_sum
+    if limit < start:
+        start, total = 1, Fraction(0)
+    for j in range(start + 1, limit + 1):
+        total += Fraction(1, j)
+    _last_recip_sum = (limit, total)
+    return total
 
 
 def f_lower_bound(k: int, p: int, q: int) -> Fraction:

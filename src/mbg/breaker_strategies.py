@@ -199,7 +199,8 @@ class CliqueBoxBreaker(GameStrategy):
     Moves are planned as a whole in ``begin_move`` and dealt out one edge per
     ``step``.  If the plan ever becomes impossible (untouched vertices run
     out, a move exceeds the bias, every box is destroyed) the strategy
-    records why, flags the game, and plays random edges from then on.
+    records why, flags the game, and leaves the rest of the game to uniform
+    random play (``step`` returns None).
     """
 
     def __init__(self, params: GameParams):
@@ -237,13 +238,13 @@ class CliqueBoxBreaker(GameStrategy):
             return
         self._queue.extend(plan)
 
-    def step(self, board: Board, rng) -> tuple[Edge, int | None]:
+    def step(self, board: Board, rng) -> tuple[Edge, None] | None:
         while self._queue:
             edge = self._queue.popleft()
             if board.is_free(edge):
                 return edge, None
         if self.state.stage == "fallback":
-            return board.random_free_edge(rng), None
+            return None
         return board.lowest_free_edge(), None
 
 
@@ -251,8 +252,8 @@ class RandomBreaker(GameStrategy):
     def __init__(self, params: GameParams):
         self.params = params
 
-    def step(self, board: Board, rng) -> tuple[Edge, int | None]:
-        return board.random_free_edge(rng), None
+    def step(self, board: Board, rng) -> None:
+        return None
 
 
 _BREAKERS = {"isolate": IsolateBreaker, "clique-box": CliqueBoxBreaker,

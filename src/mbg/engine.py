@@ -3,7 +3,9 @@
 Moves follow ``move_order``: each round is one Breaker move (b edge claims)
 followed by one Maker move (a edge claims).  Strategies hand the engine one edge
 per step and the board is updated between steps, so a strategy always sees
-the live position.  The engine stops a game the moment its outcome is
+the live position.  A strategy may instead leave the rest of its move to
+uniform random play; the board then draws and claims those edges itself
+(``Board.claim_random``).  The engine stops a game the moment its outcome is
 certain and records every claim in a replayable trace.
 """
 
@@ -99,7 +101,12 @@ def play_game(params: GameParams, maker, breaker, seed: int,
 
     ``maker`` and ``breaker`` are fresh single-game strategy objects
     exposing ``begin_move(board, rng)`` and ``step(board, rng) -> (edge,
-    target)``.  The outcome is deterministic in (params, strategies, seed).
+    target)``.  A step that returns None leaves the rest of the move to
+    uniform random play, drawn from the game's ``rng``: Breaker's remaining
+    claims of the move are made in one ``Board.claim_random`` call, which
+    stops at a foreclosing claim; Maker's one per step, so that each is
+    tested for a win.  Random claims have no target.  The outcome is
+    deterministic in (params, strategies, seed).
 
     A Maker win is tested with ``detect_maker_win`` after each Maker claim,
     so it is seen at the claim that makes it; a Breaker win the moment some
@@ -127,10 +134,12 @@ def _play(params: GameParams, board: Board, trace: GameTrace, strategies,
           rng, early_stop: bool) -> tuple[Player, int, str]:
     """(winner, decisive round, reason) of the game played on ``board``.
 
-    Each step claims one free edge or raises, so the board is exhausted
-    within m claims.
+    Each step claims at least one free edge or raises, so the board is
+    exhausted within m claims.
     """
     limit = params.foreclosure_limit()
+    # Random claims stop at a foreclosure only when the engine would act on it.
+    random_limit = limit if early_stop else params.n
     goal, k = params.goal, params.k
     moves = trace.moves
     for round_no, player, bias in move_order(params.a, params.b):
@@ -141,24 +150,36 @@ def _play(params: GameParams, board: Board, trace: GameTrace, strategies,
         strategy = strategies[player]
         maker = player is Player.MAKER
         strategy.begin_move(board, rng)
-        for step_no in range(1, bias + 1):
-            if board.free_count == 0:
-                break
+        step_no = 1
+        while step_no <= bias and board.free_count:
             try:
-                edge, target = strategy.step(board, rng)
+                move = strategy.step(board, rng)
             except StageBlocked:
                 if maker:
                     # Maker's own plan proves the goal unreachable (e.g. all
                     # crossing edges between his components are gone).
                     return Player.BREAKER, round_no, REASON_GOAL_IMPOSSIBLE
                 raise
-            try:
-                board.claim(player, edge)
-            except EdgeAlreadyClaimed as exc:
-                raise StrategyViolation(
-                    f"{player.value} returned non-free edge {edge!r}"
-                ) from exc
-            moves.append(MoveRecord(round_no, step_no, player, edge, target))
+            if move is None:
+                # The rest of the move is uniform random play: Breaker's in
+                # one board call, Maker's one claim at a time so that each
+                # is tested for a win.
+                edges = board.claim_random(
+                    player, rng, 1 if maker else bias - step_no + 1,
+                    random_limit)
+                target = None
+            else:
+                edge, target = move
+                try:
+                    board.claim(player, edge)
+                except EdgeAlreadyClaimed as exc:
+                    raise StrategyViolation(
+                        f"{player.value} returned non-free edge {edge!r}"
+                    ) from exc
+                edges = (edge,)
+            for edge in edges:
+                moves.append(MoveRecord(round_no, step_no, player, edge, target))
+                step_no += 1
             if maker:
                 if early_stop and detect_maker_win(board, goal, k):
                     return Player.MAKER, round_no, REASON_GOAL_ACHIEVED

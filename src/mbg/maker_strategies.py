@@ -25,14 +25,19 @@ DEGREE_TARGET = 16
 
 
 class GameStrategy:
-    """Base contract: one instance per game, one edge per ``step``."""
+    """Base contract: one instance per game, one edge per ``step``.
+
+    ``step`` returns ``(edge, target)``, or None to leave the rest of the
+    current move to uniform random play, which the engine draws and claims
+    on the board itself.
+    """
 
     infeasible_reason: str | None = None
 
     def begin_move(self, board: Board, rng) -> None:  # pragma: no cover
         pass
 
-    def step(self, board: Board, rng) -> tuple[Edge, int | None]:
+    def step(self, board: Board, rng) -> tuple[Edge, int | None] | None:
         raise NotImplementedError
 
 
@@ -201,8 +206,8 @@ class RandomMaker(GameStrategy):
     def __init__(self, params: GameParams):
         self.params = params
 
-    def step(self, board: Board, rng) -> tuple[Edge, int | None]:
-        return board.random_free_edge(rng), None
+    def step(self, board: Board, rng) -> None:
+        return None
 
 
 _MAKERS = {"min-deg": MinDegMaker, "ham-3stage": Ham3StageMaker,

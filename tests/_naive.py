@@ -11,7 +11,8 @@ from itertools import combinations
 from mbg.audit import DegreeSnapshot, PotentialAudit, default_split_point
 from mbg.board import Board, Player
 from mbg.engine import GameTrace, replay_trace
-from mbg.errors import InvalidParams, NotConnected, TraceIncompatible
+from mbg.errors import (InvalidParams, NoFreeEdge, NotConnected,
+                        TraceIncompatible)
 from mbg.oracles import (BoosterSet, SimpleGraph, is_connected,
                          is_hamiltonian, longest_path_order)
 
@@ -134,6 +135,24 @@ def expands_by_two(n, edges, k):
             if len(nb - inside) < 2 * size:
                 return False
     return True
+
+
+def claim_random(board, player, rng, count, limit):
+    """``Board.claim_random`` the long way: per claim, draw the pool position
+    with ``randrange``, look its slot up in ``combinations`` order and hand
+    the edge to ``Board.claim``; stop as the board method does."""
+    edges = list(combinations(range(board.n), 2))
+    degree = board.dM if player is Player.MAKER else board.dB
+    if board.free_count == 0:
+        raise NoFreeEdge("board exhausted")
+    claimed = []
+    while len(claimed) < count and board.free_count:
+        u, v = edges[board._free[rng.randrange(board.free_count)]]
+        board.claim(player, (u, v))
+        claimed.append((u, v))
+        if degree[u] > limit or degree[v] > limit:
+            break
+    return claimed
 
 
 def random_graph_edges(rng, n, p):

@@ -49,20 +49,70 @@ def test_claims_in_any_order_keep_every_view_of_freeness_agreeing():
     random.Random(4).shuffle(order)
     owners = {}
     rng = random.Random(5)
-    for step, edge in enumerate(order):
+    step = 0
+    while board.free_count:
         player = Player.MAKER if step % 3 == 0 else Player.BREAKER
-        board.claim(player, edge)
+        if step % 2:
+            # a planned claim: the next unclaimed edge of the shuffled order
+            edge = next(e for e in order if e not in owners)
+            board.claim(player, edge)
+        else:
+            (edge,) = board.claim_random(player, rng, 1, n)
+            assert edge not in owners
         owners[edge] = player
+        step += 1
         free = [e for e in edges if e not in owners]
         assert board.free_count == len(free)
         assert list(board.free_edges()) == free
         for e in edges:
             assert board.is_free(e) == (e not in owners)
             assert board.state_of(e) is owners.get(e)
-        if free:
-            assert all(board.random_free_edge(rng) in free for _ in range(10))
     with pytest.raises(NoFreeEdge):
-        board.random_free_edge(rng)
+        board.claim_random(Player.BREAKER, rng, 1, n)
+
+
+def _board_with_free(count):
+    """The smallest board with at least ``count`` slots, its first edges in
+    lexicographic order claimed until exactly ``count`` are free."""
+    n = 3
+    while n * (n - 1) // 2 < count:
+        n += 1
+    board = Board(n)
+    while board.free_count > count:
+        board.claim(Player.MAKER, board.lowest_free_edge())
+    return board
+
+
+def _slot(n, edge):
+    u, v = edge
+    return u * n - u * (u + 1) // 2 + (v - u - 1)
+
+
+def _draws_like_randrange(board, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    slot = board._free[ref.randrange(board.free_count)]
+    (edge,) = board.claim_random(Player.BREAKER, rng, 1, board.n)
+    assert _slot(board.n, edge) == slot
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("count", sorted({1, 2, 3} | {
+    2 ** j + d for j in (2, 3, 8, 16) for d in (-1, 0, 1)}))
+def test_claim_random_draws_what_randrange_draws(count):
+    # the inline draw is CPython's randrange algorithm: same position and
+    # same random stream afterwards, so seeded traces do not depend on it
+    for seed in range(6):
+        board = _board_with_free(count)
+        assert board.free_count == count
+        _draws_like_randrange(board, seed)
+
+
+def test_claim_random_draws_what_randrange_draws_on_the_largest_board():
+    # m = 1,999,000 free edges at n = MAX_N, then one fewer per seed
+    board = Board(MAX_N)
+    for seed in range(4):
+        _draws_like_randrange(board, seed)
+    assert board.free_count == board.m - 4
 
 
 class TestBoard:
@@ -121,13 +171,27 @@ class TestBoard:
         board.claim(Player.BREAKER, (0, 2))
         assert board.lowest_free_edge() == (0, 3)
 
-    def test_random_free_edge_is_free_and_seeded(self):
-        board = Board(6)
-        board.claim(Player.MAKER, (0, 1))
-        picks = [board.random_free_edge(random.Random(9)) for _ in range(5)]
-        assert picks == [board.random_free_edge(random.Random(9))
-                         for _ in range(5)]
-        assert all(board.is_free(e) for e in picks)
+    def test_claim_random_claims_free_edges_and_is_seeded(self):
+        boards = [Board(6), Board(6)]
+        for board in boards:
+            board.claim(Player.MAKER, (0, 1))
+        free = list(boards[0].free_edges())
+        picks = [board.claim_random(Player.BREAKER, random.Random(9), 5, 5)
+                 for board in boards]
+        assert picks[0] == picks[1]
+        assert len(set(picks[0])) == 5 and set(picks[0]) <= set(free)
+        assert all(boards[0].state_of(e) is Player.BREAKER for e in picks[0])
+        assert boards[0].snapshot() == boards[1].snapshot()
+
+    def test_claim_random_stops_past_the_limit_or_at_an_empty_pool(self):
+        board = Board(5)
+        claimed = board.claim_random(Player.MAKER, random.Random(2), 10, 1)
+        # the first claim that gives some vertex a second Maker edge is last
+        assert [max(board.dM[u], board.dM[v]) for u, v in claimed][-1] == 2
+        assert max(board.dM) == 2 and len(claimed) == 10 - board.free_count
+        rest = board.claim_random(Player.BREAKER, random.Random(3), 99, 4)
+        assert len(rest) == 10 - len(claimed) and board.free_count == 0
+        assert sorted(claimed + rest) == list(combinations(range(5), 2))
 
     def test_edges_of_sorted_by_owner(self):
         board = Board(5)
@@ -160,33 +224,44 @@ class TestBoard:
         assert board.free_count == 0
         assert list(board.free_edges()) == []
         with pytest.raises(NoFreeEdge):
-            board.random_free_edge(random.Random(0))
+            board.claim_random(Player.MAKER, random.Random(0), 1, 2)
         with pytest.raises(NoFreeEdge):
             board.lowest_free_edge()
 
     @pytest.mark.parametrize("n", [3, 4, 5, 7, 12, 50])
-    def test_random_free_edge_decodes_every_slot_in_combinations_order(self, n):
-        class SlotRng:
-            slot = 0
+    def test_claim_random_decodes_every_slot_in_combinations_order(self, n):
+        class LastPositionRng:
+            """Draws the last free position each time: on a fresh board
+            that is slot m-1, then m-2, ..., down to 0."""
 
-            def randrange(self, stop):
-                return self.slot
+            def __init__(self, m):
+                self.pos = m
 
-        board, rng = Board(n), SlotRng()
-        for rng.slot, edge in enumerate(combinations(range(n), 2)):
-            assert board.random_free_edge(rng) == edge
-        assert rng.slot == board.m - 1
+            def getrandbits(self, k):
+                self.pos -= 1
+                return self.pos
 
-    def test_random_free_edge_is_uniform_over_the_free_edges(self):
-        board = Board(8)
-        claims = random.Random(3).sample(list(board.free_edges()), 10)
-        for step, edge in enumerate(claims):
-            board.claim(Player.MAKER if step % 2 else Player.BREAKER, edge)
-        free = list(board.free_edges())
+        board = Board(n)
+        rng = LastPositionRng(board.m)
+        claimed = board.claim_random(Player.MAKER, rng, board.m, n)
+        assert claimed[::-1] == list(combinations(range(n), 2))
+        assert rng.pos == 0 and board.free_count == 0
+
+    def test_claim_random_is_uniform_over_the_free_edges(self):
+        claims = random.Random(3).sample(list(Board(8).free_edges()), 10)
+
+        def position():
+            board = Board(8)
+            for step, edge in enumerate(claims):
+                board.claim(Player.MAKER if step % 2 else Player.BREAKER, edge)
+            return board
+
+        free = list(position().free_edges())
         assert len(free) == 18
         rng = random.Random(11)
         draws = 18 * 1000
-        counts = Counter(board.random_free_edge(rng) for _ in range(draws))
+        counts = Counter(position().claim_random(Player.BREAKER, rng, 1, 7)[0]
+                         for _ in range(draws))
         assert set(counts) == set(free)
         expected = draws / len(free)
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())

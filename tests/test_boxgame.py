@@ -1,9 +1,11 @@
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from mbg import boxgame
+from mbg.audit import harmonic
 from mbg.boxgame import (SOLVER_MAX_BALLS, SOLVER_MAX_BOXES, BoxInstance,
                          BoxPlayState, BoxPlayer, boxmaker_balancing_move,
                          boxmaker_sufficient, canonical_instance, f_box,
@@ -70,6 +72,19 @@ class TestThresholdFunction:
         with pytest.raises(TooLarge, match="f_lower_bound capped"):
             f_lower_bound(10**9, 3, 1)
         assert time.perf_counter() - start < 0.1
+
+    def test_lower_bound_keeps_little_memory_after_a_long_sum(self):
+        # the exact partial sums of 1/j grow with lcm(2..j); only the last
+        # one may stay alive (all 10^4 of them held about 24 MB)
+        f_lower_bound(3, 2, 1)
+        tracemalloc.start()
+        try:
+            value = f_lower_bound(10001, 3, 1)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert current < 1 << 20
+        assert value == 30002 + 10001 * (harmonic(10000) - 1)
 
     @pytest.mark.parametrize("k,p,q", [
         (3, 2, 1), (10, 3, 1), (7, 4, 2), (50, 6, 3), (123, 9, 4),

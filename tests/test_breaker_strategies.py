@@ -241,10 +241,21 @@ class TestCliqueBoxBreaker:
 
 
 def test_random_breaker_is_seed_deterministic():
-    params = GameParams(n=9)
-    breaker = RandomBreaker(params)
-    picks = {breaker.step(Board(9), random.Random(5))[0] for _ in range(3)}
-    assert len(picks) == 1
+    # the engine draws the random Breaker's claims; step only says so
+    params = GameParams(n=9, b=3)
+    assert RandomBreaker(params).step(Board(9), random.Random(5)) is None
+    traces = {tuple(play_game(params, MinDegMaker(params),
+                              RandomBreaker(params), seed=5)[1].moves)
+              for _ in range(3)}
+    assert len(traces) == 1
+
+
+def test_fallback_leaves_the_move_to_random_play():
+    params = GameParams(n=40, b=12)
+    breaker = CliqueBoxBreaker(params)
+    breaker.state.stage = "fallback"
+    breaker.begin_move(Board(40), random.Random(0))
+    assert breaker.step(Board(40), random.Random(0)) is None
 
 
 def test_registry_rejects_unknown_names():

@@ -104,6 +104,27 @@ class TestPlayGame:
             # the full playout uses every edge
             assert len(slow_trace.moves) == 9 * 8 // 2
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_breaker_move_ends_at_its_foreclosing_claim(self, seed):
+        params = GameParams(n=12, b=6, k=3)
+        outcome, trace = run(n=12, b=6, k=3, seed=seed)
+        assert outcome.reason == REASON_GOAL_IMPOSSIBLE
+        last = trace.moves[-1]
+        assert last.player is Player.BREAKER and last.step <= params.b
+        before = replay_trace(GameTrace(params, seed, trace.moves[:-1]))
+        limit = params.foreclosure_limit()
+        assert max(before.dB) <= limit
+        assert max(before.dB[v] for v in last.edge) == limit
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_maker_win_is_seen_at_its_claim(self, seed):
+        params = GameParams(n=8, a=3, b=1)
+        outcome, trace = run(n=8, a=3, b=1, maker="random", seed=seed)
+        assert outcome.reason == REASON_GOAL_ACHIEVED
+        assert trace.moves[-1].player is Player.MAKER
+        before = replay_trace(GameTrace(params, seed, trace.moves[:-1]))
+        assert not detect_maker_win(before, "min-degree", 1)
+
     def test_connectivity_goal_plays_out(self):
         outcome, _ = run(n=8, b=1, goal="connectivity", seed=3)
         assert outcome.winner is Player.MAKER

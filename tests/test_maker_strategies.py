@@ -322,12 +322,16 @@ class TestHam3StageMaker:
 
 
 def test_random_maker_claims_free_edges():
-    params = GameParams(n=6)
-    maker = RandomMaker(params)
-    board = Board(6)
-    edge, target = maker.step(board, RNG())
-    assert target is None
-    assert board.is_free(edge)
+    # step leaves each claim to the engine's random play, one per step
+    params = GameParams(n=6, a=2, b=1)
+    assert RandomMaker(params).step(Board(6), RNG()) is None
+    outcome, trace = play_game(params, RandomMaker(params),
+                               make_breaker("random", params), seed=0,
+                               early_stop=False)
+    assert outcome.reason == REASON_BOARD_EXHAUSTED
+    made = [mv for mv in trace.moves if mv.player is Player.MAKER]
+    assert len(made) == 10 and all(mv.target is None for mv in made)
+    assert len({mv.edge for mv in trace.moves}) == 15
 
 
 def test_registry_rejects_unknown_names():

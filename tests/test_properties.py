@@ -14,7 +14,7 @@ from mbg.boxgame import (BoxPlayState, boxmaker_balancing_move,
                          canonical_instance, f_box, f_lower_bound)
 from mbg.breaker_strategies import make_breaker
 from mbg.engine import play_game, trace_from_json, trace_to_json
-from mbg.errors import MBGError
+from mbg.errors import MBGError, NoFreeEdge
 from mbg.maker_strategies import make_maker
 from mbg.oracles import SimpleGraph, boosters, is_hamiltonian
 
@@ -32,15 +32,46 @@ def test_board_degree_accounting(n, seed, claims):
     made = 0
     for i in range(min(claims, m)):
         player = Player.MAKER if i % 2 == 0 else Player.BREAKER
-        edge = board.random_free_edge(rng)
-        board.claim(player, edge)
-        made += 1
+        made += len(board.claim_random(player, rng, 1, n))
+    assert made == min(claims, m)
     assert board.free_count == m - made
     assert sum(board.dM) + sum(board.dB) == 2 * made
     assert [row.bit_count() for row in board.maker] == board.dM
     assert [row.bit_count() for row in board.breaker] == board.dB
     assert sum(1 for _ in board.free_edges()) == board.free_count
     assert all(board.is_free(e) for e in board.free_edges())
+
+
+@FAST
+@given(n=st.integers(3, 9), seed=st.integers(0, 10**6),
+       taken=st.integers(0, 36), maker=st.booleans(), count=st.integers(1, 40),
+       limit=st.integers(0, 9))
+def test_claim_random_matches_the_reference(n, seed, taken, maker, count,
+                                            limit):
+    # the same position on two boards: ``taken`` edges, claimed alternately
+    boards = [Board(n), Board(n)]
+    prefix = random.Random(seed).sample(list(boards[0].free_edges()),
+                                        min(taken, boards[0].m))
+    for board in boards:
+        for i, edge in enumerate(prefix):
+            board.claim(Player.MAKER if i % 2 else Player.BREAKER, edge)
+    player = Player.MAKER if maker else Player.BREAKER
+    rngs = [random.Random(seed + 1), random.Random(seed + 1)]
+    if boards[0].free_count == 0:
+        with pytest.raises(NoFreeEdge):
+            boards[0].claim_random(player, rngs[0], count, limit)
+        with pytest.raises(NoFreeEdge):
+            _naive.claim_random(boards[1], player, rngs[1], count, limit)
+        return
+    fast = boards[0].claim_random(player, rngs[0], count, limit)
+    slow = _naive.claim_random(boards[1], player, rngs[1], count, limit)
+    assert fast == slow
+    assert rngs[0].getstate() == rngs[1].getstate()
+    ours, ref = boards
+    assert ours.snapshot() == ref.snapshot()
+    assert (ours.dM, ours.dB, ours.free_count) == (ref.dM, ref.dB,
+                                                   ref.free_count)
+    assert (ours._free, ours._free_pos) == (ref._free, ref._free_pos)
 
 
 @FAST
