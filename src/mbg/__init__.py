@@ -22,13 +22,23 @@ from .errors import (BoxesExhausted, EdgeAlreadyClaimed, InvalidParams,
                      MBGError, NoFreeEdge, NotConnected, PreconditionFailed,
                      StageBlocked, StrategyInfeasible, StrategyViolation,
                      TooLarge, TraceIncompatible)
-from .harness import SweepSpec, main, run_sweep, trial_seed
 from .maker_strategies import (MAKER_STRATEGIES, Ham3StageMaker, MinDegMaker,
                                RandomMaker, make_maker)
 from .oracles import (SimpleGraph, boosters, is_connected, is_hamiltonian,
                       is_k_expander, longest_path_order, min_degree)
 
 __version__ = "0.1.0"
+
+# The command line module loads on first use (PEP 562), so that runpy can
+# run ``python -m mbg.harness`` without finding it imported already.
+_HARNESS_NAMES = ("SweepSpec", "main", "run_sweep", "trial_seed")
+
+
+def __getattr__(name: str):
+    if name in _HARNESS_NAMES:
+        from . import harness
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AuditReport", "Board", "BoxInstance", "BoxPlayer", "BoxesExhausted",

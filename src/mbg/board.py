@@ -8,15 +8,16 @@ uniform sampling, and per-vertex degree counters for both players keep the
 hot paths of the simulator O(1) per claim.
 
 Edges are plain ``(u, v)`` tuples with ``u < v``.  The pool keys an edge by
-its slot in the triangular order: ``u*n - u*(u+1)/2 + (v-u-1)``.  ``claim``
-encodes a planned edge with that formula; ``claim_random`` draws pool
-positions and inverts it arithmetically, so the board keeps no slot-to-edge
-table: its memory is the pool, two lists of m = n(n-1)/2 slots.
+its slot in the triangular order: ``u*n - u*(u+1)/2 + (v-u-1)``.
+``claim_many`` (and ``claim``, one edge of it) encodes planned edges with
+that formula; ``claim_random`` draws pool positions and inverts it
+arithmetically, so the board keeps no slot-to-edge table: its memory is the
+pool, two lists of m = n(n-1)/2 slots.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
 from enum import Enum
 from math import isqrt
@@ -143,35 +144,51 @@ class Board:
         """Give ``edge`` to ``player``.
 
         Raises EdgeAlreadyClaimed (board untouched) if the edge is taken.
-        Only this method maps an edge to its slot in the free pool;
-        ``claim_random`` inverts the mapping.
         """
-        u, v = edge
+        self.claim_many(player, (edge,), self.n)
+
+    def claim_many(self, player: Player, edges: Sequence[Edge],
+                   limit: int) -> Sequence[Edge]:
+        """Give ``player`` the planned ``edges``, in order.
+
+        Stops after the first claim that lifts an endpoint's degree for
+        ``player`` above ``limit``, like ``claim_random``, and returns the
+        prefix of ``edges`` claimed.  Raises InvalidParams for a pair that
+        is not ``0 <= u < v < n`` and EdgeAlreadyClaimed for a taken edge;
+        the edges before it stay claimed.  Only this method maps an edge to its
+        slot in the free pool; ``claim_random`` inverts the mapping.
+        """
         n = self.n
-        if not (0 <= u < v < n):
-            raise InvalidParams(f"edge {edge!r} is not a valid pair on {n} vertices")
-        idx = u * n - u * (u + 1) // 2 + (v - u - 1)
-        free, free_pos = self._free, self._free_pos
-        pos = free_pos[idx]
-        count = self.free_count - 1
-        if pos > count:
-            raise EdgeAlreadyClaimed(
-                f"edge {edge!r} already belongs to {self.state_of(edge).value}"
-            )
         if player is MAKER:
             rows, degree = self.maker, self.dM
         else:
             rows, degree = self.breaker, self.dB
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        degree[u] += 1
-        degree[v] += 1
-        last = free[count]
-        free[pos] = last
-        free_pos[last] = pos
-        free[count] = idx
-        free_pos[idx] = count
-        self.free_count = count
+        free, free_pos = self._free, self._free_pos
+        start = count = self.free_count
+        for u, v in edges:
+            if not (0 <= u < v < n):
+                raise InvalidParams(
+                    f"edge {(u, v)!r} is not a valid pair on {n} vertices")
+            idx = u * n - u * (u + 1) // 2 + (v - u - 1)
+            pos = free_pos[idx]
+            if pos >= count:
+                raise EdgeAlreadyClaimed(
+                    f"edge {(u, v)!r} already belongs to "
+                    f"{self.state_of((u, v)).value}")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            degree[u] += 1
+            degree[v] += 1
+            # Swap the slot with the last free one, and their positions: the
+            # pool keeps the int objects it has, so a move allocates nothing.
+            count -= 1
+            last = free[count]
+            free[pos], free[count] = last, free[pos]
+            free_pos[last], free_pos[idx] = free_pos[idx], free_pos[last]
+            self.free_count = count
+            if degree[u] > limit or degree[v] > limit:
+                return edges[:start - count]
+        return edges
 
     def free_row(self, v: int) -> int:
         """Bit w is set when the edge vw is free."""
@@ -231,10 +248,8 @@ class Board:
             free_count -= 1
             idx = free[pos]
             last = free[free_count]
-            free[pos] = last
-            free_pos[last] = pos
-            free[free_count] = idx
-            free_pos[idx] = free_count
+            free[pos], free[free_count] = last, idx
+            free_pos[last], free_pos[idx] = free_pos[idx], free_pos[last]
             rest = top - idx
             t = (isqrt(8 * rest + 1) - 1) // 2
             u = n - 2 - t

@@ -173,28 +173,43 @@ def boxmaker_balancing_move(state: BoxPlayState, p: int) -> list[tuple[int, int]
     that whole box and wins (play stops there, possibly under budget).
     Otherwise the p claims are made one at a time, each from a currently
     largest surviving box, lowest index on ties; a balanced ("canonical")
-    profile stays balanced.  Returns per-box claim counts in claim order.
+    profile stays balanced.  Returns per-box claim counts in claim order,
+    consecutive claims from one box merged.
+
+    The claims are found by water-filling in O(boxes log boxes + p): the
+    boxes tied at the top level take one ball each, in index order, and
+    every box whose count that level reaches joins them.
     """
     if p < 1:
         raise InvalidParams(f"p must be >= 1, got {p}")
-    alive = state.surviving()
+    rem = state.remaining
+    alive = sorted(state.surviving(), key=lambda i: (-rem[i], i))
     if not alive:
         raise BoxesExhausted("no surviving box to claim from")
-    rem = state.remaining
-    largest = max(alive, key=lambda i: (rem[i], -i))
-    if rem[largest] <= p:
-        count = rem[largest]
+    largest = alive[0]
+    level = rem[largest]
+    if level <= p:
         rem[largest] = 0
         state.won = largest
-        return [(largest, count)]
+        return [(largest, level)]
     claims: list[tuple[int, int]] = []
-    for _ in range(p):
-        target = max(alive, key=lambda i: (rem[i], -i))
-        rem[target] -= 1
-        if claims and claims[-1][0] == target:
-            claims[-1] = (target, claims[-1][1] + 1)
-        else:
-            claims.append((target, 1))
+    tied: list[int] = []  # the boxes at ``level``, in index order
+    joined, budget = 0, p
+    while budget:
+        start = joined
+        while joined < len(alive) and rem[alive[joined]] == level:
+            joined += 1
+        if joined > start:
+            tied = sorted(tied + alive[start:joined])
+        for box in tied[:budget]:
+            if claims and claims[-1][0] == box:
+                claims[-1] = (box, claims[-1][1] + 1)
+            else:
+                claims.append((box, 1))
+        budget -= min(budget, len(tied))
+        level -= 1
+    for box, count in claims:
+        rem[box] -= count
     return claims
 
 

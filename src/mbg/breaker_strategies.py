@@ -10,11 +10,11 @@ and win the resulting box game.  ``RandomBreaker`` is the noise baseline.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
-from .board import Board, Edge, GameParams, bits
+from .board import Board, Edge, GameParams
 from .boxgame import BoxPlayState, boxmaker_balancing_move
 from .errors import BoxesExhausted, InvalidParams, StrategyInfeasible
 from .maker_strategies import GameStrategy
@@ -110,8 +110,9 @@ def clique_building_move(board: Board, params: GameParams,
     if len(fresh) < a + 1:
         raise StrategyInfeasible(
             f"only {len(fresh)} untouched vertices left, need {a + 1}")
-    wanted = [tuple(sorted(e)) for e in combinations(fresh, 2)]
-    wanted += [tuple(sorted((u, v))) for v in fresh for u in state.clique]
+    wanted = list(combinations(fresh, 2))
+    wanted += [(u, v) if u < v else (v, u)
+               for v in fresh for u in state.clique]
     plan = [e for e in sorted(wanted) if board.is_free(e)]
     if len(plan) > b:
         raise StrategyInfeasible(
@@ -120,17 +121,26 @@ def clique_building_move(board: Board, params: GameParams,
     if len(plan) < b:
         # Pad with free edges away from the clique, then with any free edge.
         # Every planned edge touches a member, so the spares are new.
-        # Each pass needs a fresh free_edges() generator: a spent one
-        # would silently pad fewer edges.
-        members.update(fresh)
-        plan.extend(islice((e for e in board.free_edges()
-                            if e[0] not in members and e[1] not in members),
-                           b - len(plan)))
+        away = _free_edges_avoiding(board, sum(1 << v for v in state.clique))
+        plan.extend(islice(away, b - len(plan)))
         if len(plan) < b:
             used = set(plan)
             plan.extend(islice((e for e in board.free_edges() if e not in used),
                                b - len(plan)))
     return plan
+
+
+def _free_edges_avoiding(board: Board, avoid: int) -> Iterator[Edge]:
+    """Free edges with neither endpoint in the vertex mask ``avoid``, in
+    lexicographic order, generated lazily."""
+    for u in range(board.n - 1):
+        if avoid >> u & 1:
+            continue
+        row = (board.free_row(u) & ~avoid) >> (u + 1)
+        while row:
+            low = row & -row
+            row ^= low
+            yield u, u + low.bit_length()
 
 
 def _freeze_boxes(board: Board, params: GameParams,
@@ -174,19 +184,25 @@ def box_playing_move(board: Board, params: GameParams,
     """
     boxes = state.boxes
     assert boxes is not None
+    order = []
     for v in sorted(boxes):
         if board.maker[v] & boxes[v]:
             del boxes[v]
+        else:
+            order.append(v)
     if not boxes:
         raise BoxesExhausted("Maker holds an edge in every remaining box")
-    order = sorted(boxes)
     play = BoxPlayState(remaining=[boxes[v].bit_count() for v in order])
     plan: list[Edge] = []
     for idx, count in boxmaker_balancing_move(play, params.b):
         v = order[idx]
-        take = _lowest_bits(boxes[v], count)
-        boxes[v] ^= take
-        plan.extend((w, v) if w < v else (v, w) for w in bits(take))
+        box = boxes[v]
+        for _ in range(count):
+            low = box & -box
+            box ^= low
+            w = low.bit_length() - 1
+            plan.append((w, v) if w < v else (v, w))
+        boxes[v] = box
     if play.won is not None:
         state.finished_vertex = order[play.won]
         state.stage = "done"
@@ -196,11 +212,13 @@ def box_playing_move(board: Board, params: GameParams,
 class CliqueBoxBreaker(GameStrategy):
     """Clique growth followed by box play.
 
-    Moves are planned as a whole in ``begin_move`` and dealt out one edge per
-    ``step``.  If the plan ever becomes impossible (untouched vertices run
-    out, a move exceeds the bias, every box is destroyed) the strategy
-    records why, flags the game, and leaves the rest of the game to uniform
-    random play (``step`` returns None).
+    Moves are planned as a whole in ``begin_move``, and the first ``step``
+    of a move hands the engine the still-free rest of the plan as one list,
+    which the board claims in one call.  Steps after that (a plan shorter
+    than the bias) claim the lowest free edge.  If the plan ever becomes
+    impossible (untouched vertices run out, a move exceeds the bias, every
+    box is destroyed) the strategy records why, flags the game, and leaves
+    the rest of the game to uniform random play (``step`` returns None).
     """
 
     def __init__(self, params: GameParams):
@@ -220,10 +238,10 @@ class CliqueBoxBreaker(GameStrategy):
         self.params = params
         self.state = CliquePlanState(h=h)
         self.infeasible_reason: str | None = None
-        self._queue: deque[Edge] = deque()
+        self._plan: list[Edge] = []
 
     def begin_move(self, board: Board, rng) -> None:
-        self._queue.clear()
+        self._plan = []
         state = self.state
         if state.stage not in ("clique", "box"):
             return
@@ -236,13 +254,15 @@ class CliqueBoxBreaker(GameStrategy):
             state.stage = "fallback"
             self.infeasible_reason = str(exc)
             return
-        self._queue.extend(plan)
+        self._plan = plan
 
-    def step(self, board: Board, rng) -> tuple[Edge, None] | None:
-        while self._queue:
-            edge = self._queue.popleft()
-            if board.is_free(edge):
-                return edge, None
+    def step(self, board: Board, rng) -> list[Edge] | tuple[Edge, None] | None:
+        maker, breaker = board.maker, board.breaker
+        plan = [(u, v) for u, v in self._plan
+                if not (maker[u] | breaker[u]) >> v & 1]
+        self._plan = []
+        if plan:
+            return plan
         if self.state.stage == "fallback":
             return None
         return board.lowest_free_edge(), None

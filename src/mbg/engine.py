@@ -3,10 +3,11 @@
 Moves follow ``move_order``: each round is one Breaker move (b edge claims)
 followed by one Maker move (a edge claims).  Strategies hand the engine one edge
 per step and the board is updated between steps, so a strategy always sees
-the live position.  A strategy may instead leave the rest of its move to
-uniform random play; the board then draws and claims those edges itself
-(``Board.claim_random``).  The engine stops a game the moment its outcome is
-certain and records every claim in a replayable trace.
+the live position.  A Breaker strategy may instead hand over the planned rest
+of its move as one list (``Board.claim_many``), and any strategy may leave
+the rest of its move to uniform random play; the board then draws and claims
+those edges itself (``Board.claim_random``).  The engine stops a game the
+moment its outcome is certain and records every claim in a replayable trace.
 """
 
 from __future__ import annotations
@@ -100,13 +101,21 @@ def play_game(params: GameParams, maker, breaker, seed: int,
     """Play one game to its decision.
 
     ``maker`` and ``breaker`` are fresh single-game strategy objects
-    exposing ``begin_move(board, rng)`` and ``step(board, rng) -> (edge,
-    target)``.  A step that returns None leaves the rest of the move to
-    uniform random play, drawn from the game's ``rng``: Breaker's remaining
-    claims of the move are made in one ``Board.claim_random`` call, which
-    stops at a foreclosing claim; Maker's one per step, so that each is
-    tested for a win.  Random claims have no target.  The outcome is
-    deterministic in (params, strategies, seed).
+    exposing ``begin_move(board, rng)`` and ``step(board, rng)``.  A step
+    returns one of three things:
+
+    - ``(edge, target)``: one claim;
+    - a list of edges (Breaker only): a planned run of at most the move's
+      remaining claims, made in one ``Board.claim_many`` call, which stops
+      at a foreclosing claim; each edge is one step of the trace;
+    - None: the rest of the move is uniform random play, drawn from the
+      game's ``rng``: Breaker's remaining claims in one
+      ``Board.claim_random`` call, which stops at a foreclosing claim;
+      Maker's one per step, so that each is tested for a win.
+
+    Planned lists and random claims have no target.  A taken edge, a Maker
+    list, or an empty or too long list raises StrategyViolation.  The
+    outcome is deterministic in (params, strategies, seed).
 
     A Maker win is tested with ``detect_maker_win`` after each Maker claim,
     so it is seen at the claim that makes it; a Breaker win the moment some
@@ -138,8 +147,9 @@ def _play(params: GameParams, board: Board, trace: GameTrace, strategies,
     exhausted within m claims.
     """
     limit = params.foreclosure_limit()
-    # Random claims stop at a foreclosure only when the engine would act on it.
-    random_limit = limit if early_stop else params.n
+    # Runs of random or planned claims stop at a foreclosure only when the
+    # engine would act on it.
+    run_limit = limit if early_stop else params.n
     goal, k = params.goal, params.k
     moves = trace.moves
     for round_no, player, bias in move_order(params.a, params.b):
@@ -160,23 +170,33 @@ def _play(params: GameParams, board: Board, trace: GameTrace, strategies,
                     # crossing edges between his components are gone).
                     return Player.BREAKER, round_no, REASON_GOAL_IMPOSSIBLE
                 raise
+            left = bias - step_no + 1
             if move is None:
                 # The rest of the move is uniform random play: Breaker's in
                 # one board call, Maker's one claim at a time so that each
                 # is tested for a win.
-                edges = board.claim_random(
-                    player, rng, 1 if maker else bias - step_no + 1,
-                    random_limit)
+                edges = board.claim_random(player, rng, 1 if maker else left,
+                                           run_limit)
                 target = None
             else:
-                edge, target = move
                 try:
-                    board.claim(player, edge)
+                    if type(move) is list:
+                        # The rest of a planned Breaker move, claimed in one
+                        # board call that stops like claim_random's.
+                        if maker or not 0 < len(move) <= left:
+                            raise StrategyViolation(
+                                f"{player.value} step planned {len(move)} "
+                                f"claims; a Breaker step may plan 1 to {left}")
+                        edges = board.claim_many(player, move, run_limit)
+                        target = None
+                    else:
+                        edge, target = move
+                        board.claim(player, edge)
+                        edges = (edge,)
                 except EdgeAlreadyClaimed as exc:
                     raise StrategyViolation(
-                        f"{player.value} returned non-free edge {edge!r}"
+                        f"{player.value} returned a non-free edge: {exc}"
                     ) from exc
-                edges = (edge,)
             for edge in edges:
                 moves.append(MoveRecord(round_no, step_no, player, edge, target))
                 step_no += 1

@@ -27,7 +27,9 @@ DEGREE_TARGET = 16
 class GameStrategy:
     """Base contract: one instance per game, one edge per ``step``.
 
-    ``step`` returns ``(edge, target)``, or None to leave the rest of the
+    ``step`` returns ``(edge, target)``; or, from a Breaker, a list of free
+    edges, at most the claims left in the move, that the engine claims in
+    one board call as that many steps; or None to leave the rest of the
     current move to uniform random play, which the engine draws and claims
     on the board itself.
     """
@@ -37,7 +39,8 @@ class GameStrategy:
     def begin_move(self, board: Board, rng) -> None:  # pragma: no cover
         pass
 
-    def step(self, board: Board, rng) -> tuple[Edge, int | None] | None:
+    def step(self, board: Board,
+             rng) -> tuple[Edge, int | None] | list[Edge] | None:
         raise NotImplementedError
 
 

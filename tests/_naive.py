@@ -11,8 +11,8 @@ from itertools import combinations
 from mbg.audit import DegreeSnapshot, PotentialAudit, default_split_point
 from mbg.board import Board, Player
 from mbg.engine import GameTrace, replay_trace
-from mbg.errors import (InvalidParams, NoFreeEdge, NotConnected,
-                        TraceIncompatible)
+from mbg.errors import (BoxesExhausted, InvalidParams, NoFreeEdge,
+                        NotConnected, TraceIncompatible)
 from mbg.oracles import (BoosterSet, SimpleGraph, is_connected,
                          is_hamiltonian, longest_path_order)
 
@@ -153,6 +153,33 @@ def claim_random(board, player, rng, count, limit):
         if degree[u] > limit or degree[v] > limit:
             break
     return claimed
+
+
+def balancing_move(state, p):
+    """``boxmaker_balancing_move`` the long way: when the largest surviving
+    box holds more than p balls, each of the p claims scans every surviving
+    box for a largest one, lowest index on ties."""
+    if p < 1:
+        raise InvalidParams(f"p must be >= 1, got {p}")
+    alive = state.surviving()
+    if not alive:
+        raise BoxesExhausted("no surviving box to claim from")
+    rem = state.remaining
+    largest = max(alive, key=lambda i: (rem[i], -i))
+    if rem[largest] <= p:
+        count = rem[largest]
+        rem[largest] = 0
+        state.won = largest
+        return [(largest, count)]
+    claims = []
+    for _ in range(p):
+        target = max(alive, key=lambda i: (rem[i], -i))
+        rem[target] -= 1
+        if claims and claims[-1][0] == target:
+            claims[-1] = (target, claims[-1][1] + 1)
+        else:
+            claims.append((target, 1))
+    return claims
 
 
 def random_graph_edges(rng, n, p):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from collections import Counter
@@ -193,6 +194,44 @@ class TestBoard:
         rest = board.claim_random(Player.BREAKER, random.Random(3), 99, 4)
         assert len(rest) == 10 - len(claimed) and board.free_count == 0
         assert sorted(claimed + rest) == list(combinations(range(5), 2))
+
+    def test_claim_many_stops_after_the_first_claim_past_the_limit(self):
+        board = Board(6)
+        plan = [(0, 1), (0, 2), (1, 2), (3, 4)]
+        # (0, 2) gives vertex 0 its second Breaker edge, one over the limit
+        assert board.claim_many(Player.BREAKER, plan, 1) == [(0, 1), (0, 2)]
+        assert board.dB == [2, 1, 1, 0, 0, 0]
+        assert board.is_free((1, 2)) and board.free_count == board.m - 2
+        assert board.claim_many(Player.BREAKER, plan[2:], 5) == plan[2:]
+        assert board.free_count == board.m - 4
+
+    def test_claim_many_stops_at_a_taken_edge_keeping_earlier_claims(self):
+        board = Board(5)
+        board.claim(Player.MAKER, (1, 2))
+        with pytest.raises(EdgeAlreadyClaimed, match="Maker"):
+            board.claim_many(Player.BREAKER, [(0, 1), (1, 2), (2, 3)], 4)
+        assert board.state_of((0, 1)) is Player.BREAKER
+        assert board.is_free((2, 3))
+        assert board.free_count == board.m - 2
+
+    def test_moving_pool_slots_allocates_nothing(self):
+        # every claim swaps int objects the pool already holds, so an eighth
+        # of the board planned by claim_many and half of it drawn by
+        # claim_random leave the traced memory almost where it was (storing
+        # fresh positions grew it by about 5 MiB)
+        board = Board(600)
+        planned = list(itertools.islice(board.free_edges(), board.m // 8))
+        rng = random.Random(0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            board.claim_many(Player.MAKER, planned, board.n)
+            board.claim_random(Player.BREAKER, rng, board.m // 2, board.n)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert board.free_count == board.m - board.m // 8 - board.m // 2
+        assert grown < 1 << 19
 
     def test_edges_of_sorted_by_owner(self):
         board = Board(5)

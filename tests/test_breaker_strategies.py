@@ -235,9 +235,10 @@ class TestCliqueBoxBreaker:
         board = Board(20)
         breaker.begin_move(board, random.Random(0))
         board.claim(Player.MAKER, (0, 1))  # steal the planned join
-        edge, target = breaker.step(board, random.Random(0))
-        assert edge == (2, 3)
-        assert target is None
+        # the step hands over the still-free rest of the plan as one list
+        assert breaker.step(board, random.Random(0)) == [(2, 3), (2, 4)]
+        # once it is handed over, a further step claims the lowest free edge
+        assert breaker.step(board, random.Random(0)) == ((0, 2), None)
 
 
 def test_random_breaker_is_seed_deterministic():

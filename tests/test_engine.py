@@ -143,6 +143,51 @@ class TestPlayGame:
         with pytest.raises(StrategyViolation):
             play_game(params, Cheat(), Cheat(), seed=0)
 
+    def test_planned_list_is_claimed_as_consecutive_steps(self):
+        class Planner:
+            infeasible_reason = None
+
+            def begin_move(self, board, rng):
+                self.plan = [e for e in ((0, 1), (0, 2), (3, 4))
+                             if board.is_free(e)]
+
+            def step(self, board, rng):
+                plan, self.plan = self.plan, []
+                return plan or (board.lowest_free_edge(), None)
+
+        params = GameParams(n=8, a=1, b=4)
+        _, trace = play_game(params, make_maker("min-deg", params),
+                             Planner(), seed=0)
+        first = trace.moves[:4]
+        assert [(mv.round, mv.step, mv.player, mv.edge, mv.target)
+                for mv in first] == [
+            (1, 1, Player.BREAKER, (0, 1), None),
+            (1, 2, Player.BREAKER, (0, 2), None),
+            (1, 3, Player.BREAKER, (3, 4), None),
+            (1, 4, Player.BREAKER, (0, 3), None)]
+
+    @pytest.mark.parametrize("maker_plans, plan", [
+        (False, [(0, 1), (0, 2), (0, 3)]),  # longer than the bias of 2
+        (False, []),                        # claims nothing
+        (False, [(0, 1), (0, 1)]),          # takes an edge twice
+        (True, [(0, 1)]),                   # Maker claims one edge per step
+    ])
+    def test_bad_planned_lists_are_rejected(self, maker_plans, plan):
+        class Planner:
+            infeasible_reason = None
+
+            def begin_move(self, board, rng):
+                pass
+
+            def step(self, board, rng):
+                return list(plan)
+
+        params = GameParams(n=6, a=1, b=2)
+        maker = Planner() if maker_plans else make_maker("min-deg", params)
+        breaker = make_breaker("random", params) if maker_plans else Planner()
+        with pytest.raises(StrategyViolation):
+            play_game(params, maker, breaker, seed=0)
+
     @pytest.mark.parametrize("index", [7, 20])
     def test_hamiltonicity_is_seen_before_stage_three(self, index):
         # In these games Maker's graph turns Hamiltonian while the strategy

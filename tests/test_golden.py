@@ -21,6 +21,16 @@ GOLDEN_DIGEST = "2d02d402bbc2abbaf3c190e6e22aa07cf347402771a2cedb939fb2a23c9c183
 
 GOALS = (("min-degree", 1), ("min-degree", 2), ("connectivity", 1))
 
+# Traces of the clique-box Breaker at n = 100 and 200, pinned before its
+# moves were claimed as one planned list per move.
+CLIQUE_BOX_DIGEST = (
+    "ba4e7f1687f6199b7e8929a39ed91a548a6ae1ee93c9bb488e4b573e94a36e75")
+
+# (n, a): biases that give fallbacks, box-play wins and one clique-stage win.
+CLIQUE_BOX_BIASES = {(100, 1): (28, 34, 100), (100, 2): (10, 58, 64),
+                     (100, 3): (10, 64, 70), (200, 1): (22, 52, 58),
+                     (200, 2): (34, 100, 106), (200, 3): (46, 112, 118)}
+
 
 def _min_deg_games():
     """(params, breaker, seed) of the min-degree Maker's games."""
@@ -83,3 +93,19 @@ def test_seeded_play_matches_the_golden_digest(tmp_path, monkeypatch):
     for record in _records(tmp_path):
         digest.update(record.encode("utf-8"))
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def test_clique_box_play_matches_its_digest():
+    digest = hashlib.sha256()
+    stages = set()
+    for (n, a), biases in CLIQUE_BOX_BIASES.items():
+        for b in biases:
+            for maker in ("min-deg", "random"):
+                params = GameParams(n=n, a=a, b=b)
+                breaker = make_breaker("clique-box", params)
+                outcome, trace = play_game(
+                    params, make_maker(maker, params), breaker, seed=0)
+                stages.add(breaker.state.stage)
+                digest.update(trace_to_json(trace, outcome).encode("utf-8"))
+    assert stages == {"clique", "done", "fallback"}
+    assert digest.hexdigest() == CLIQUE_BOX_DIGEST

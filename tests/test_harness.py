@@ -339,6 +339,20 @@ class TestCli:
         assert done.stderr == ""
         assert done.stdout.startswith("winner=")
 
+    def test_python_dash_m_harness_runs_the_same_command_line(self):
+        # the package imports harness lazily, so runpy runs it without the
+        # "found in sys.modules" warning and it prints what python -m mbg does
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        argv = ["simulate", "--n", "20", "--b", "3"]
+        runs = [subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=60) for module in ("mbg.harness", "mbg")]
+        assert [done.returncode for done in runs] == [0, 0]
+        assert runs[0].stderr == ""
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stdout.startswith("winner=")
+
     def test_boxgame_f_with_lower_bound(self, capsys):
         assert main(["boxgame", "f", "--k", "5", "--p", "5", "--q", "2",
                      "--lower"]) == 0

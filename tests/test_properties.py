@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import _naive
 from mbg.audit import (audit_game, check_potential_lemmas, harmonic,
@@ -75,6 +75,38 @@ def test_claim_random_matches_the_reference(n, seed, taken, maker, count,
 
 
 @FAST
+@given(n=st.integers(3, 9), seed=st.integers(0, 10**6),
+       taken=st.integers(0, 36), maker=st.booleans(), count=st.integers(1, 40),
+       limit=st.integers(0, 9))
+def test_claim_many_is_successive_claims_up_to_the_stop(n, seed, taken, maker,
+                                                       count, limit):
+    # ``taken`` edges claimed alternately, then a plan of ``count`` free ones
+    boards = [Board(n), Board(n)]
+    edges = random.Random(seed).sample(list(boards[0].free_edges()),
+                                       min(taken + count, boards[0].m))
+    prefix, plan = edges[:taken], edges[taken:]
+    assume(plan)
+    for board in boards:
+        for i, edge in enumerate(prefix):
+            board.claim(Player.MAKER if i % 2 else Player.BREAKER, edge)
+    player = Player.MAKER if maker else Player.BREAKER
+    ours, ref = boards
+    claimed = ours.claim_many(player, plan, limit)
+    degree = ref.dM if maker else ref.dB
+    expected = []
+    for u, v in plan:
+        ref.claim(player, (u, v))
+        expected.append((u, v))
+        if degree[u] > limit or degree[v] > limit:
+            break
+    assert claimed == expected
+    assert ours.snapshot() == ref.snapshot()
+    assert (ours.dM, ours.dB, ours.free_count) == (ref.dM, ref.dB,
+                                                   ref.free_count)
+    assert (ours._free, ours._free_pos) == (ref._free, ref._free_pos)
+
+
+@FAST
 @given(k=st.integers(1, 30), p=st.integers(1, 20), q=st.integers(1, 6))
 def test_f_box_is_monotone_in_p(k, p, q):
     assert f_box(k, p, q) <= f_box(k, p + 1, q)
@@ -86,6 +118,30 @@ def test_f_box_dominates_its_lower_bound(k, q, extra):
     assume(k > q)
     p = q + 1 + extra
     assert f_lower_bound(k, p, q) <= f_box(k, p, q)
+
+
+@FAST
+@given(sizes=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+       gone=st.sets(st.integers(0, 7)), p=st.integers(1, 30))
+@example(sizes=[5, 3, 3], gone=set(), p=4)  # a lone leader meets a tie
+@example(sizes=[4, 9, 2], gone={1}, p=4)    # p reaches the largest live box
+@example(sizes=[0, 3], gone={1}, p=1)       # no box survives
+def test_balancing_move_matches_the_reference(sizes, gone, p):
+    # empty and destroyed boxes do not survive; a large p may exceed every
+    # box, which wins at once
+    states = [BoxPlayState(remaining=list(sizes),
+                           destroyed={i for i in gone if i < len(sizes)})
+              for _ in range(2)]
+    results = []
+    for state, move in zip(states, (boxmaker_balancing_move,
+                                    _naive.balancing_move)):
+        try:
+            results.append(move(state, p))
+        except MBGError as exc:
+            results.append(type(exc))
+    assert results[0] == results[1]
+    ours, ref = states
+    assert (ours.remaining, ours.won) == (ref.remaining, ref.won)
 
 
 @FAST
