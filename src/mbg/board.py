@@ -155,8 +155,8 @@ class Board:
         ``player`` above ``limit``, like ``claim_random``, and returns the
         prefix of ``edges`` claimed.  Raises InvalidParams for a pair that
         is not ``0 <= u < v < n`` and EdgeAlreadyClaimed for a taken edge;
-        the edges before it stay claimed.  Only this method maps an edge to its
-        slot in the free pool; ``claim_random`` inverts the mapping.
+        the edges before it stay claimed.  Only this method maps an edge to
+        its slot in the free pool; ``claim_random`` inverts the mapping.
         """
         n = self.n
         if player is MAKER:
