@@ -25,7 +25,7 @@ from operator import itemgetter
 
 from .board import MAKER
 from .board import new_board  # noqa: F401  unused; bench/tracing.py patches it
-from .engine import GameTrace
+from .engine import GameTrace, _collector_paused
 from .errors import EdgeAlreadyClaimed, InvalidParams, TraceIncompatible
 
 # One-sided slack for comparisons against float logarithms.
@@ -470,6 +470,7 @@ def canonical_audit_point(trace: GameTrace) -> tuple[int, int] | None:
     return _replay(trace)[0]
 
 
+@_collector_paused()
 def audit_game(trace: GameTrace, r: int | None = None
                ) -> tuple[PotentialAudit, AuditReport] | None:
     """Audit a finished game at its canonical foreclosure point, from one

@@ -12,13 +12,15 @@ moment its outcome is certain and records every claim in a replayable trace.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .board import Board, Edge, GameParams, Player
+from .board import MAKER, Board, Edge, GameParams, Player
 from .errors import (EdgeAlreadyClaimed, InvalidParams, StageBlocked,
                      StrategyViolation, TraceIncompatible)
 from .oracles import HAMILTONIAN_CAP, SimpleGraph, is_connected, is_hamiltonian
@@ -41,6 +43,33 @@ class MoveRecord(NamedTuple):
     target: int | None = None
 
 
+# The per-claim paths build a record as ``_new_tuple(MoveRecord, (round, step,
+# player, edge, target))``: tuple.__new__ runs in C, while the named tuple's
+# own __new__ is a Python function, a frame per record.
+_new_tuple = tuple.__new__
+
+
+@contextmanager
+def _collector_paused():
+    """Run the block, or the decorated function, with automatic cyclic
+    garbage collection off.
+
+    The sections that use it allocate a tracked object per claim (trace
+    records, JSON rows) but create no reference cycles, so a collection
+    inside them walks every record made so far and frees nothing.  The
+    switch is process-global: a thread running meanwhile goes without
+    automatic collection too.  On exit, by return or raise, collection is
+    switched back on only if it was on at entry.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @dataclass
 class GameTrace:
     params: GameParams
@@ -48,7 +77,7 @@ class GameTrace:
     moves: list[MoveRecord] = field(default_factory=list)
 
     def maker_claims(self) -> int:
-        return sum(1 for mv in self.moves if mv.player is Player.MAKER)
+        return sum(1 for mv in self.moves if mv.player is MAKER)
 
     def rounds_played(self) -> int:
         return self.moves[-1].round if self.moves else 0
@@ -139,6 +168,7 @@ def play_game(params: GameParams, maker, breaker, seed: int,
     return GameOutcome(winner, decisive_round, reason, flags), trace
 
 
+@_collector_paused()
 def _play(params: GameParams, board: Board, trace: GameTrace, strategies,
           rng, early_stop: bool) -> tuple[Player, int, str]:
     """(winner, decisive round, reason) of the game played on ``board``.
@@ -158,7 +188,7 @@ def _play(params: GameParams, board: Board, trace: GameTrace, strategies,
             return (Player.MAKER if achieved else Player.BREAKER,
                     trace.rounds_played(), REASON_BOARD_EXHAUSTED)
         strategy = strategies[player]
-        maker = player is Player.MAKER
+        maker = player is MAKER
         strategy.begin_move(board, rng)
         step_no = 1
         while step_no <= bias and board.free_count:
@@ -198,7 +228,8 @@ def _play(params: GameParams, board: Board, trace: GameTrace, strategies,
                         f"{player.value} returned a non-free edge: {exc}"
                     ) from exc
             for edge in edges:
-                moves.append(MoveRecord(round_no, step_no, player, edge, target))
+                moves.append(_new_tuple(MoveRecord, (round_no, step_no, player,
+                                                     edge, target)))
                 step_no += 1
             if maker:
                 if early_stop and detect_maker_win(board, goal, k):
@@ -217,6 +248,7 @@ def replay_trace(trace: GameTrace) -> Board:
     return board
 
 
+@_collector_paused()
 def trace_to_json(trace: GameTrace, outcome: GameOutcome | None = None) -> str:
     """Format-2 text of a trace: one ``[u, v]`` or ``[u, v, target]`` row per
     claim, in ``move_order``; round, step and player follow from (a, b)."""
@@ -237,6 +269,7 @@ def trace_to_json(trace: GameTrace, outcome: GameOutcome | None = None) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
+@_collector_paused()
 def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
     """Parse a trace written by ``trace_to_json``.
 
@@ -288,7 +321,8 @@ def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
                     f"move {len(moves)} repeats the edge ({u}, {v}) of "
                     f"move {first}")
             claimed[slot] = 1
-            moves.append(MoveRecord(rnd, step, player, (u, v), target))
+            moves.append(_new_tuple(MoveRecord,
+                                    (rnd, step, player, (u, v), target)))
         outcome = None
         if "outcome" in doc:
             o = doc["outcome"]

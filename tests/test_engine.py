@@ -1,19 +1,24 @@
+import gc
 import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
 import _naive
+from mbg import audit, engine
+from mbg.audit import audit_game
 from mbg.board import Board, GameParams, Player
 from mbg.engine import (GameOutcome, GameTrace, MoveRecord,
                         REASON_BOARD_EXHAUSTED, REASON_GOAL_ACHIEVED,
                         REASON_GOAL_IMPOSSIBLE, detect_maker_win, move_order,
                         play_game, replay_trace, trace_from_json,
                         trace_to_json)
-from mbg.errors import InvalidParams, StrategyViolation, TraceIncompatible
+from mbg.errors import (InvalidParams, StrategyInfeasible, StrategyViolation,
+                        TraceIncompatible)
 from mbg.harness import main, trial_seed
-from mbg.maker_strategies import make_maker
-from mbg.breaker_strategies import make_breaker
+from mbg.maker_strategies import MAKER_STRATEGIES, make_maker
+from mbg.breaker_strategies import BREAKER_STRATEGIES, make_breaker
 
 
 def rows_text(rows):
@@ -366,3 +371,154 @@ class TestTrace:
         trace = GameTrace(params=GameParams(n=5), seed=0)
         assert trace.rounds_played() == 0
         assert trace.maker_claims() == 0
+
+
+class TakenEdge:
+    """A strategy that always claims (0, 1), taken after its first claim."""
+
+    infeasible_reason = None
+
+    def begin_move(self, board, rng):
+        pass
+
+    def step(self, board, rng):
+        return (0, 1), None
+
+
+def collector_set(enabled):
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """Play, trace I/O and the audit run with automatic collection paused,
+    and leave the collector as they found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("section, error", [
+        ("play_game", None),
+        ("play_game_taken_edge", StrategyViolation),
+        ("trace_to_json", None),
+        ("trace_from_json", None),
+        ("trace_from_json_repeated_edge", TraceIncompatible),
+        ("audit_game", None),
+    ])
+    def test_collector_state_is_kept(self, section, error, enabled):
+        outcome, trace = run(n=20, b=7, k=3, seed=11)
+        assert outcome.winner is Player.BREAKER
+        text = trace_to_json(trace, outcome)
+        call = {
+            "play_game": lambda: run(n=20, b=7, k=3, seed=11),
+            "play_game_taken_edge": lambda: play_game(
+                GameParams(n=5), TakenEdge(), TakenEdge(), seed=0),
+            "trace_to_json": lambda: trace_to_json(trace, outcome),
+            "trace_from_json": lambda: trace_from_json(text),
+            "trace_from_json_repeated_edge": lambda: trace_from_json(
+                rows_text("[[0, 1], [2, 3], [0, 1]]")),
+            "audit_game": lambda: audit_game(trace),
+        }[section]
+        was = gc.isenabled()
+        collector_set(enabled)
+        try:
+            if error is None:
+                assert call() is not None
+            else:
+                with pytest.raises(error):
+                    call()
+            assert gc.isenabled() is enabled
+        finally:
+            collector_set(was)
+
+    def test_the_collector_is_off_inside_each_section(self, monkeypatch):
+        seen = []
+
+        def probe(fn):
+            def probed(*args, **kwargs):
+                seen.append((fn.__name__, gc.isenabled()))
+                return fn(*args, **kwargs)
+            return probed
+
+        monkeypatch.setattr(engine, "detect_maker_win",
+                            probe(engine.detect_maker_win))
+        monkeypatch.setattr(engine, "json", SimpleNamespace(
+            dumps=probe(json.dumps), loads=probe(json.loads)))
+        monkeypatch.setattr(audit, "compute_g", probe(audit.compute_g))
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            outcome, trace = run(n=20, b=7, k=3, seed=11)
+            back, _ = trace_from_json(trace_to_json(trace, outcome))
+            assert audit_game(back) is not None
+            assert gc.isenabled()
+        finally:
+            collector_set(was)
+        assert {name for name, _ in seen} == {
+            "detect_maker_win", "dumps", "loads", "compute_g"}
+        assert not any(on for _, on in seen)
+
+    def test_play_trace_io_and_audit_make_no_reference_cycles(self):
+        # The pause is safe because these sections leave nothing for the
+        # collector: with it off throughout, every game of every Maker and
+        # Breaker on all three goals, its JSON round trip and the audit of
+        # each min-degree loss leave no cyclic garbage behind.  (goal, n, k,
+        # low bias): the low bias gives clique-box fallbacks and ham-3stage
+        # wins in stages II and III; the high bias n - 1 lets isolate play
+        # and clique-box finish its box game with planned lists.
+        games = (("min-degree", 20, 2, 6), ("connectivity", 20, 1, 4),
+                 ("hamiltonicity", 14, 1, 2))
+        maker_stages, breaker_stages = set(), set()
+        audited = 0
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for (goal, n, k, low), maker_name, breaker_name, b, index in (
+                    itertools.product(games, MAKER_STRATEGIES,
+                                      BREAKER_STRATEGIES, ("low", "high"),
+                                      (0, 1))):
+                params = GameParams(n=n, b=low if b == "low" else n - 1, k=k,
+                                    goal=goal)
+                try:
+                    breaker = make_breaker(breaker_name, params)
+                except StrategyInfeasible:
+                    continue
+                options = ({"degree_target": 2}
+                           if maker_name == "ham-3stage" else {})
+                maker = make_maker(maker_name, params, **options)
+                outcome, trace = play_game(params, maker, breaker,
+                                           seed=trial_seed(21, 0, index))
+                back, _ = trace_from_json(trace_to_json(trace, outcome))
+                if (maker_name == "min-deg" and goal == "min-degree"
+                        and outcome.winner is Player.BREAKER):
+                    assert audit_game(back) is not None
+                    audited += 1
+                for strategy, stages in ((maker, maker_stages),
+                                         (breaker, breaker_stages)):
+                    state = getattr(strategy, "state", None)
+                    stages.add(getattr(state, "stage", None))
+            assert gc.collect() == 0
+        finally:
+            collector_set(was)
+        assert {"II", "III"} <= maker_stages
+        assert {"done", "fallback"} <= breaker_stages
+        assert audited > 0
+
+    def test_played_records_are_move_records(self):
+        # min-deg's single claims against a clique-box Breaker that plans
+        # lists, then falls back to random runs
+        params = GameParams(n=20, b=6, k=2)
+        breaker = make_breaker("clique-box", params)
+        plan_step, kinds = breaker.step, set()
+
+        def step(board, rng):
+            move = plan_step(board, rng)
+            kinds.add(type(move))
+            return move
+
+        breaker.step = step
+        outcome, trace = play_game(params, make_maker("min-deg", params),
+                                   breaker, seed=trial_seed(21, 0, 0))
+        assert outcome.flags == ("strategy-infeasible",)
+        assert kinds == {list, type(None)}
+        assert any(mv.target is not None for mv in trace.moves)
+        assert all(type(mv) is MoveRecord for mv in trace.moves)
