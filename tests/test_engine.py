@@ -34,6 +34,22 @@ def run(n=12, a=1, b=2, k=1, goal="min-degree", maker="min-deg",
                      make_breaker(breaker, params), seed=seed, **kwargs)
 
 
+class TakenEdge:
+    """A strategy that always claims (0, 1), taken after its first claim."""
+
+    infeasible_reason = None
+
+    def begin_move(self, board, rng):
+        pass
+
+    def step(self, board, rng):
+        return (0, 1), None
+
+
+def collector_set(enabled):
+    (gc.enable if enabled else gc.disable)()
+
+
 class TestDetection:
     def test_breaker_win_detector_flags_the_dead_vertex(self):
         board = Board(5)
@@ -135,18 +151,9 @@ class TestPlayGame:
         assert outcome.winner is Player.MAKER
 
     def test_strategy_returning_claimed_edge_is_rejected(self):
-        class Cheat:
-            infeasible_reason = None
-
-            def begin_move(self, board, rng):
-                pass
-
-            def step(self, board, rng):
-                return (0, 1), None
-
         params = GameParams(n=5, a=1, b=1)
         with pytest.raises(StrategyViolation):
-            play_game(params, Cheat(), Cheat(), seed=0)
+            play_game(params, TakenEdge(), TakenEdge(), seed=0)
 
     def test_planned_list_is_claimed_as_consecutive_steps(self):
         class Planner:
@@ -373,22 +380,6 @@ class TestTrace:
         assert trace.maker_claims() == 0
 
 
-class TakenEdge:
-    """A strategy that always claims (0, 1), taken after its first claim."""
-
-    infeasible_reason = None
-
-    def begin_move(self, board, rng):
-        pass
-
-    def step(self, board, rng):
-        return (0, 1), None
-
-
-def collector_set(enabled):
-    (gc.enable if enabled else gc.disable)()
-
-
 class TestCollectorPause:
     """Play, trace I/O and the audit run with automatic collection paused,
     and leave the collector as they found it."""
@@ -461,23 +452,23 @@ class TestCollectorPause:
         # collector: with it off throughout, every game of every Maker and
         # Breaker on all three goals, its JSON round trip and the audit of
         # each min-degree loss leave no cyclic garbage behind.  (goal, n, k,
-        # low bias): the low bias gives clique-box fallbacks and ham-3stage
+        # biases): the low bias gives clique-box fallbacks and ham-3stage
         # wins in stages II and III; the high bias n - 1 lets isolate play
         # and clique-box finish its box game with planned lists.
-        games = (("min-degree", 20, 2, 6), ("connectivity", 20, 1, 4),
-                 ("hamiltonicity", 14, 1, 2))
+        goals = (("min-degree", 20, 2, (6, 19)),
+                 ("connectivity", 20, 1, (4, 19)),
+                 ("hamiltonicity", 14, 1, (2, 13)))
+        games = [(GameParams(n=n, b=b, k=k, goal=goal), maker, breaker, index)
+                 for goal, n, k, biases in goals for b in biases
+                 for maker, breaker, index in itertools.product(
+                     MAKER_STRATEGIES, BREAKER_STRATEGIES, (0, 1))]
         maker_stages, breaker_stages = set(), set()
         audited = 0
         was = gc.isenabled()
         gc.disable()
         try:
             gc.collect()
-            for (goal, n, k, low), maker_name, breaker_name, b, index in (
-                    itertools.product(games, MAKER_STRATEGIES,
-                                      BREAKER_STRATEGIES, ("low", "high"),
-                                      (0, 1))):
-                params = GameParams(n=n, b=low if b == "low" else n - 1, k=k,
-                                    goal=goal)
+            for params, maker_name, breaker_name, index in games:
                 try:
                     breaker = make_breaker(breaker_name, params)
                 except StrategyInfeasible:
@@ -488,7 +479,7 @@ class TestCollectorPause:
                 outcome, trace = play_game(params, maker, breaker,
                                            seed=trial_seed(21, 0, index))
                 back, _ = trace_from_json(trace_to_json(trace, outcome))
-                if (maker_name == "min-deg" and goal == "min-degree"
+                if (maker_name == "min-deg" and params.goal == "min-degree"
                         and outcome.winner is Player.BREAKER):
                     assert audit_game(back) is not None
                     audited += 1
