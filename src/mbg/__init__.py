@@ -10,9 +10,10 @@ games.
 
 from .board import Board, Edge, GameParams, Player, new_board
 from .boxgame import (BoxInstance, BoxPlayer, canonical_instance, f_box,
-                      f_lower_bound, boxmaker_sufficient, solve_exhaustive)
+                      f_lower_bound, boxmaker_sufficient, harmonic,
+                      solve_exhaustive)
 from .audit import (AuditReport, PotentialAudit, audit_game,
-                    canonical_audit_point, check_potential_lemmas, harmonic,
+                    canonical_audit_point, check_potential_lemmas,
                     harmonic_bounds_ok, reconstruct_multisets)
 from .breaker_strategies import (BREAKER_STRATEGIES, CliqueBoxBreaker,
                                  IsolateBreaker, RandomBreaker, make_breaker)

@@ -11,8 +11,8 @@ the checks useful.
 Danger sums are exact rationals throughout.  Only the logarithmic ceilings
 are evaluated in floating point, compared with a one-sided slack.
 
-Also here: exact harmonic numbers and the log-sandwich bounds on them that
-the ceilings rely on.
+Also here: the log-sandwich bounds on harmonic numbers that the ceilings
+rely on, checked against ``boxgame.harmonic``'s exact values.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from operator import itemgetter
 
 from .board import MAKER
 from .board import new_board  # noqa: F401  unused; bench/tracing.py patches it
+from .boxgame import harmonic
 from .engine import GameTrace, _collector_paused
 from .errors import EdgeAlreadyClaimed, InvalidParams, TraceIncompatible
 
@@ -39,34 +40,14 @@ HARMONIC_GUARD = 1e-12
 # Harmonic numbers
 
 
-def harmonic(m: int) -> Fraction:
-    """Exact H_m = 1 + 1/2 + ... + 1/m.
-
-    Summed by halving so the single reduction happens at the end; a naive
-    Fraction loop reduces after every addition and crawls for large m.
-    """
-    if m < 1:
-        raise InvalidParams(f"harmonic number needs m >= 1, got {m}")
-
-    def merge(lo: int, hi: int) -> tuple[int, int]:
-        if lo == hi:
-            return 1, lo
-        mid = (lo + hi) // 2
-        n1, d1 = merge(lo, mid)
-        n2, d2 = merge(mid + 1, hi)
-        return n1 * d2 + n2 * d1, d1 * d2
-
-    return Fraction(*merge(1, m))
-
-
-def harmonic_bounds_ok(m: int, guard: float = HARMONIC_GUARD) -> bool:
+def harmonic_bounds_ok(m: int) -> bool:
     """ln(m+1) <= H_m <= ln(m) + 1, exact H against guarded float logs."""
     value = float(harmonic(m))
-    return (math.log(m + 1) <= value + guard
-            and value <= math.log(m) + 1.0 + guard)
+    return (math.log(m + 1) <= value + HARMONIC_GUARD
+            and value <= math.log(m) + 1.0 + HARMONIC_GUARD)
 
 
-def harmonic_bounds_sweep(limit: int, guard: float = HARMONIC_GUARD) -> list[str]:
+def harmonic_bounds_sweep(limit: int) -> list[str]:
     """Check the harmonic log-sandwich up to ``limit``; returns violations.
 
     Exact harmonic numbers are impractical at 10^5 (the reduced numerator has
@@ -85,15 +66,15 @@ def harmonic_bounds_sweep(limit: int, guard: float = HARMONIC_GUARD) -> list[str
     if limit < 1:
         raise InvalidParams(f"sweep limit must be >= 1, got {limit}")
     problems: list[str] = []
-    if not harmonic_bounds_ok(1, guard):
+    if not harmonic_bounds_ok(1):
         problems.append("endpoint bounds fail at m=1")
     total = 1.0
     comp = 0.0
     for m in range(1, limit):
         step = math.log1p(1.0 / m)
-        if step > 1.0 / m + guard:
+        if step > 1.0 / m + HARMONIC_GUARD:
             problems.append(f"ln(1+1/m) <= 1/m fails at m={m}")
-        if 1.0 / (m + 1) > step + guard:
+        if 1.0 / (m + 1) > step + HARMONIC_GUARD:
             problems.append(f"1/(m+1) <= ln(1+1/m) fails at m={m}")
         term = 1.0 / (m + 1)
         y = term - comp

@@ -20,44 +20,45 @@ from .errors import BoxesExhausted, InvalidParams, StrategyInfeasible
 from .maker_strategies import GameStrategy
 
 
-@dataclass
-class IsolateState:
-    target: int | None = None
-    quota: int = 0
+def _filled(board: Board, plan: list[Edge], size: int) -> list[Edge]:
+    """``plan`` extended in place, up to ``size`` edges, with the lowest
+    free edges not in it; it stays shorter only once no free edge is left.
 
-
-def isolate_move(board: Board, params: GameParams, state: IsolateState) -> Edge:
-    """One claim of the isolation plan.
-
-    The first call locks onto the lowest Maker-untouched vertex and budgets
-    one edge more than the foreclosure limit for it; those claims leave the
-    target unable to ever reach the threshold degree.  Calls beyond the quota
-    claim the lowest free edge.
+    A Breaker move is min(b, free edges) free edges, so every plan that can
+    come up short is finished here.
     """
-    if state.target is None:
-        untouched = [v for v in range(board.n) if board.dM[v] == 0]
-        state.target = untouched[0] if untouched else 0
-        state.quota = params.foreclosure_limit() + 1
-    if state.quota > 0:
-        edge = board.lowest_free_incident_edge(state.target)
-        if edge is not None:
-            state.quota -= 1
-            return edge
-        state.quota = 0
-    return board.lowest_free_edge()
+    if len(plan) < size:
+        used = set(plan)
+        plan.extend(islice((e for e in board.free_edges() if e not in used),
+                           size - len(plan)))
+    return plan
 
 
 class IsolateBreaker(GameStrategy):
+    """Bury one vertex on the opening move.
+
+    The first move locks onto the lowest Maker-untouched vertex and claims
+    its lowest foreclosure_limit() + 1 free edges, which leave it unable to
+    ever reach the threshold degree; the rest of that move, and every later
+    move, is the lowest free edges.
+    """
+
     def __init__(self, params: GameParams):
         needed = params.foreclosure_limit() + 1
         if params.b < needed:
             raise StrategyInfeasible(
                 f"isolation needs bias >= {needed}, got {params.b}")
         self.params = params
-        self.state = IsolateState()
+        self.target: int | None = None
 
-    def step(self, board: Board, rng) -> tuple[Edge, int | None]:
-        return isolate_move(board, self.params, self.state), None
+    def step(self, board: Board, rng) -> list[Edge]:
+        plan: list[Edge] = []
+        if self.target is None:
+            self.target = next(
+                (v for v in range(board.n) if board.dM[v] == 0), 0)
+            quota = self.params.foreclosure_limit() + 1
+            plan = board.free_incident_edges(self.target)[:quota]
+        return _filled(board, plan, self.params.b)
 
 
 def clique_size_target(n: int, a: int) -> int:
@@ -86,7 +87,8 @@ class CliquePlanState:
 
 def clique_building_move(board: Board, params: GameParams,
                          state: CliquePlanState) -> list[Edge]:
-    """Plan one clique-growing move (up to b edges).
+    """Plan one clique-growing move (at most b edges, fewer only when few
+    free edges avoid the clique).
 
     Candidates Maker has touched since the last move are pruned first; Maker
     can touch at most one candidate per claimed edge (candidate pairs are all
@@ -118,15 +120,10 @@ def clique_building_move(board: Board, params: GameParams,
         raise StrategyInfeasible(
             f"joining {a + 1} vertices needs {len(plan)} edges, bias is {b}")
     state.clique.extend(fresh)
-    if len(plan) < b:
-        # Pad with free edges away from the clique, then with any free edge.
-        # Every planned edge touches a member, so the spares are new.
-        away = _free_edges_avoiding(board, sum(1 << v for v in state.clique))
-        plan.extend(islice(away, b - len(plan)))
-        if len(plan) < b:
-            used = set(plan)
-            plan.extend(islice((e for e in board.free_edges() if e not in used),
-                               b - len(plan)))
+    # Pad with free edges away from the clique.  Every planned edge touches
+    # a member, so the spares are new.
+    away = _free_edges_avoiding(board, sum(1 << v for v in state.clique))
+    plan.extend(islice(away, b - len(plan)))
     return plan
 
 
@@ -212,13 +209,13 @@ def box_playing_move(board: Board, params: GameParams,
 class CliqueBoxBreaker(GameStrategy):
     """Clique growth followed by box play.
 
-    Moves are planned as a whole in ``begin_move``, and the first ``step``
-    of a move hands the engine the still-free rest of the plan as one list,
-    which the board claims in one call.  Steps after that (a plan shorter
-    than the bias) claim the lowest free edge.  If the plan ever becomes
-    impossible (untouched vertices run out, a move exceeds the bias, every
-    box is destroyed) the strategy records why, flags the game, and leaves
-    the rest of the game to uniform random play (``step`` returns None).
+    Each ``step`` plans the whole move and returns it as one list, which
+    the board claims in one call; a plan shorter than the bias, such as the
+    move that empties a box, is filled with the lowest free edges.  If the
+    plan ever becomes impossible (untouched vertices run out, a move exceeds
+    the bias, every box is destroyed) the strategy records why, flags the
+    game, and leaves the rest of the game to uniform random play (``step``
+    returns None).
     """
 
     def __init__(self, params: GameParams):
@@ -238,34 +235,21 @@ class CliqueBoxBreaker(GameStrategy):
         self.params = params
         self.state = CliquePlanState(h=h)
         self.infeasible_reason: str | None = None
-        self._plan: list[Edge] = []
 
-    def begin_move(self, board: Board, rng) -> None:
-        self._plan = []
+    def step(self, board: Board, rng) -> list[Edge] | None:
         state = self.state
-        if state.stage not in ("clique", "box"):
-            return
+        plan: list[Edge] = []
         try:
             if state.stage == "clique":
                 plan = clique_building_move(board, self.params, state)
-            else:
+            elif state.stage == "box":
                 plan = box_playing_move(board, self.params, state)
         except (StrategyInfeasible, BoxesExhausted) as exc:
             state.stage = "fallback"
             self.infeasible_reason = str(exc)
-            return
-        self._plan = plan
-
-    def step(self, board: Board, rng) -> list[Edge] | tuple[Edge, None] | None:
-        maker, breaker = board.maker, board.breaker
-        plan = [(u, v) for u, v in self._plan
-                if not (maker[u] | breaker[u]) >> v & 1]
-        self._plan = []
-        if plan:
-            return plan
-        if self.state.stage == "fallback":
+        if state.stage == "fallback":
             return None
-        return board.lowest_free_edge(), None
+        return _filled(board, plan, self.params.b)
 
 
 class RandomBreaker(GameStrategy):

@@ -1,13 +1,13 @@
 """Game engine: alternating biased moves, early win detection, traces.
 
 Moves follow ``move_order``: each round is one Breaker move (b edge claims)
-followed by one Maker move (a edge claims).  Strategies hand the engine one edge
-per step and the board is updated between steps, so a strategy always sees
-the live position.  A Breaker strategy may instead hand over the planned rest
-of its move as one list (``Board.claim_many``), and any strategy may leave
-the rest of its move to uniform random play; the board then draws and claims
-those edges itself (``Board.claim_random``).  The engine stops a game the
-moment its outcome is certain and records every claim in a replayable trace.
+followed by one Maker move (a edge claims).  Maker hands the engine one edge
+per step and the board is updated between steps, so Maker always sees the
+live position.  Breaker hands over its whole move as one list, which the
+board claims in one call (``Board.claim_many``).  Either side may leave its
+move to uniform random play instead; the board then draws and claims those
+edges itself (``Board.claim_random``).  The engine stops a game the moment
+its outcome is certain and records every claim in a replayable trace.
 """
 
 from __future__ import annotations
@@ -130,21 +130,18 @@ def play_game(params: GameParams, maker, breaker, seed: int,
     """Play one game to its decision.
 
     ``maker`` and ``breaker`` are fresh single-game strategy objects
-    exposing ``begin_move(board, rng)`` and ``step(board, rng)``.  A step
-    returns one of three things:
-
-    - ``(edge, target)``: one claim;
-    - a list of edges (Breaker only): a planned run of at most the move's
-      remaining claims, made in one ``Board.claim_many`` call, which stops
-      at a foreclosing claim; each edge is one step of the trace;
-    - None: the rest of the move is uniform random play, drawn from the
-      game's ``rng``: Breaker's remaining claims in one
-      ``Board.claim_random`` call, which stops at a foreclosing claim;
-      Maker's one per step, so that each is tested for a win.
-
-    Planned lists and random claims have no target.  A taken edge, a Maker
-    list, or an empty or too long list raises StrategyViolation.  The
-    outcome is deterministic in (params, strategies, seed).
+    exposing ``step(board, rng)``.  Maker's step is called once per claim
+    and returns ``(edge, target)``, or None for one uniformly random claim
+    drawn from the game's ``rng``.  Breaker's step is called once per move
+    and returns the whole move, a list of exactly min(b, free edges) free
+    edges that one ``Board.claim_many`` call claims in order; or None for a
+    uniformly random move, made by one ``Board.claim_random`` call.  Both
+    calls stop after a foreclosing claim.  Each claimed edge is one step of
+    the trace, and only Maker's planned claims carry a target.  A taken
+    edge, a Breaker tuple, a Breaker list of another length or a Maker list
+    raises StrategyViolation; a seed that is not an int raises
+    InvalidParams.  The outcome is deterministic in (params, strategies,
+    seed).
 
     A Maker win is tested with ``detect_maker_win`` after each Maker claim,
     so it is seen at the claim that makes it; a Breaker win the moment some
@@ -155,13 +152,14 @@ def play_game(params: GameParams, maker, breaker, seed: int,
     """
     import random
 
+    if type(seed) is not int:
+        raise InvalidParams(f"seed must be an int, got {seed!r}")
     if params.goal == "hamiltonicity" and params.n > HAMILTONIAN_CAP:
         raise InvalidParams(
             f"hamiltonicity games need n <= {HAMILTONIAN_CAP} for exact detection")
     trace = GameTrace(params=params, seed=seed)
-    strategies = {Player.BREAKER: breaker, Player.MAKER: maker}
     winner, decisive_round, reason = _play(params, Board(params.n), trace,
-                                           strategies, random.Random(seed),
+                                           maker, breaker, random.Random(seed),
                                            early_stop)
     flags = tuple("strategy-infeasible" for strat in (maker, breaker)
                   if getattr(strat, "infeasible_reason", None))
@@ -169,11 +167,11 @@ def play_game(params: GameParams, maker, breaker, seed: int,
 
 
 @_collector_paused()
-def _play(params: GameParams, board: Board, trace: GameTrace, strategies,
+def _play(params: GameParams, board: Board, trace: GameTrace, maker, breaker,
           rng, early_stop: bool) -> tuple[Player, int, str]:
     """(winner, decisive round, reason) of the game played on ``board``.
 
-    Each step claims at least one free edge or raises, so the board is
+    Every move claims at least one free edge or raises, so the board is
     exhausted within m claims.
     """
     limit = params.foreclosure_limit()
@@ -181,63 +179,60 @@ def _play(params: GameParams, board: Board, trace: GameTrace, strategies,
     # engine would act on it.
     run_limit = limit if early_stop else params.n
     goal, k = params.goal, params.k
-    moves = trace.moves
-    for round_no, player, bias in move_order(params.a, params.b):
-        if board.free_count == 0:
-            achieved = detect_maker_win(board, goal, k)
-            return (Player.MAKER if achieved else Player.BREAKER,
-                    trace.rounds_played(), REASON_BOARD_EXHAUSTED)
-        strategy = strategies[player]
-        maker = player is MAKER
-        strategy.begin_move(board, rng)
-        step_no = 1
-        while step_no <= bias and board.free_count:
-            try:
-                move = strategy.step(board, rng)
-            except StageBlocked:
-                if maker:
-                    # Maker's own plan proves the goal unreachable (e.g. all
-                    # crossing edges between his components are gone).
-                    return Player.BREAKER, round_no, REASON_GOAL_IMPOSSIBLE
-                raise
-            left = bias - step_no + 1
-            if move is None:
-                # The rest of the move is uniform random play: Breaker's in
-                # one board call, Maker's one claim at a time so that each
-                # is tested for a win.
-                edges = board.claim_random(player, rng, 1 if maker else left,
-                                           run_limit)
-                target = None
-            else:
-                try:
-                    if type(move) is list:
-                        # The rest of a planned Breaker move, claimed in one
-                        # board call that stops like claim_random's.
-                        if maker or not 0 < len(move) <= left:
-                            raise StrategyViolation(
-                                f"{player.value} step planned {len(move)} "
-                                f"claims; a Breaker step may plan 1 to {left}")
-                        edges = board.claim_many(player, move, run_limit)
+    moves, dB = trace.moves, board.dB
+    try:
+        for round_no, player, bias in move_order(params.a, params.b):
+            if board.free_count == 0:
+                achieved = detect_maker_win(board, goal, k)
+                return (Player.MAKER if achieved else Player.BREAKER,
+                        trace.rounds_played(), REASON_BOARD_EXHAUSTED)
+            if player is MAKER:
+                # One claim per step, each tested for a win.
+                for step_no in range(1, min(bias, board.free_count) + 1):
+                    try:
+                        move = maker.step(board, rng)
+                    except StageBlocked:
+                        # Maker's own plan proves the goal unreachable (e.g.
+                        # every edge between two of its components is gone).
+                        return Player.BREAKER, round_no, REASON_GOAL_IMPOSSIBLE
+                    if move is None:
+                        edge, = board.claim_random(MAKER, rng, 1, run_limit)
                         target = None
+                    elif type(move) is list:
+                        raise StrategyViolation(
+                            "a Maker step returns (edge, target) or None, "
+                            "not a list")
                     else:
                         edge, target = move
-                        board.claim(player, edge)
-                        edges = (edge,)
-                except EdgeAlreadyClaimed as exc:
-                    raise StrategyViolation(
-                        f"{player.value} returned a non-free edge: {exc}"
-                    ) from exc
-            for edge in edges:
-                moves.append(_new_tuple(MoveRecord, (round_no, step_no, player,
-                                                     edge, target)))
-                step_no += 1
-            if maker:
-                if early_stop and detect_maker_win(board, goal, k):
-                    return Player.MAKER, round_no, REASON_GOAL_ACHIEVED
+                        board.claim(MAKER, edge)
+                    moves.append(_new_tuple(MoveRecord, (round_no, step_no,
+                                                         MAKER, edge, target)))
+                    if early_stop and detect_maker_win(board, goal, k):
+                        return Player.MAKER, round_no, REASON_GOAL_ACHIEVED
+                continue
+            # Breaker's whole move is one board call, which stops after a
+            # foreclosing claim.
+            move = breaker.step(board, rng)
+            if move is None:
+                edges = board.claim_random(player, rng, bias, run_limit)
             else:
-                u, v = edge
-                if early_stop and (board.dB[u] > limit or board.dB[v] > limit):
-                    return Player.BREAKER, round_no, REASON_GOAL_IMPOSSIBLE
+                size = min(bias, board.free_count)
+                if type(move) is not list or len(move) != size:
+                    shape = (f"{len(move)} edges" if type(move) is list
+                             else type(move).__name__)
+                    raise StrategyViolation(
+                        f"a Breaker step returns {size} free edges in a list "
+                        f"or None, got {shape}")
+                edges = board.claim_many(player, move, run_limit)
+            for step_no, edge in enumerate(edges, 1):
+                moves.append(_new_tuple(MoveRecord, (round_no, step_no, player,
+                                                     edge, None)))
+            u, v = edge
+            if early_stop and (dB[u] > limit or dB[v] > limit):
+                return Player.BREAKER, round_no, REASON_GOAL_IMPOSSIBLE
+    except EdgeAlreadyClaimed as exc:
+        raise StrategyViolation(
+            f"{player.value} returned a non-free edge: {exc}") from exc
 
 
 def replay_trace(trace: GameTrace) -> Board:
@@ -269,18 +264,35 @@ def trace_to_json(trace: GameTrace, outcome: GameOutcome | None = None) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
+def _typed(doc: dict, path: str, kind: type):
+    """The value at ``path`` (keys joined by dots) in ``doc``.
+
+    Raises TraceIncompatible naming the path unless the value's type is
+    exactly ``kind``: a bool is not an int, nor a float.
+    """
+    value = doc
+    for key in path.split("."):
+        value = value[key]
+    if type(value) is not kind:
+        raise TraceIncompatible(
+            f"{path} is {type(value).__name__}, not {kind.__name__}")
+    return value
+
+
 @_collector_paused()
 def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
     """Parse a trace written by ``trace_to_json``.
 
     Each row is matched with the next claim of ``move_order(a, b)``.
     Raises TraceIncompatible when the text is not a JSON object of the
-    current format, a key is missing or holds a value of the wrong type, a
-    row is not a list of two vertices and an optional target, all ints (a
-    bool or a float is not one), a row's vertices are not ``0 <= u < v < n``
-    (the order the board stores), a target is not one of its row's two
-    vertices, or a row repeats the edge of an earlier row; a row failing
-    several of these is reported by the first.
+    current format, a key is missing or holds a value of the wrong type
+    (the seed, n, a, b, k and the decisive round are ints, the goal and
+    reason strings, the flags a list of strings), a row is not a list of two
+    vertices and an optional target, all ints (a bool or a float is not
+    one), a row's vertices are not ``0 <= u < v < n`` (the order the board
+    stores), a target is not one of its row's two vertices, or a row
+    repeats the edge of an earlier row; a row failing several of these is
+    reported by the first.
     """
     try:
         doc = json.loads(text)
@@ -288,15 +300,19 @@ def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
             raise TraceIncompatible(
                 f"not a format-{TRACE_FORMAT} trace; play the game again "
                 "to write one")
+        for key in ("n", "a", "b", "k"):
+            _typed(doc, f"params.{key}", int)
+        _typed(doc, "params.goal", str)
         params = GameParams.from_dict(doc["params"])
-        trace = GameTrace(params=params, seed=doc["seed"])
+        trace = GameTrace(params=params, seed=_typed(doc, "seed", int))
         claims = ((rnd, step, player)
                   for rnd, player, bias in move_order(params.a, params.b)
                   for step in range(1, bias + 1))
         n, moves = params.n, trace.moves
         # One flag per vertex pair, at u*n + v: set once its edge is read.
         claimed = bytearray(n * n)
-        for row, (rnd, step, player) in zip(doc["moves"], claims):
+        for row, (rnd, step, player) in zip(_typed(doc, "moves", list),
+                                            claims):
             if type(row) is list and len(row) == 2:
                 u, v = row
                 target = None
@@ -325,12 +341,15 @@ def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
                                     (rnd, step, player, (u, v), target)))
         outcome = None
         if "outcome" in doc:
-            o = doc["outcome"]
+            o = _typed(doc, "outcome", dict)
+            flags = _typed(doc, "outcome.flags", list) if "flags" in o else []
+            if not all(type(flag) is str for flag in flags):
+                raise TraceIncompatible("outcome.flags holds a non-string")
             outcome = GameOutcome(
                 winner=Player(o["winner"]),
-                decisive_round=o["decisiveRound"],
-                reason=o["reason"],
-                flags=tuple(o.get("flags", ())),
+                decisive_round=_typed(doc, "outcome.decisiveRound", int),
+                reason=_typed(doc, "outcome.reason", str),
+                flags=tuple(flags),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceIncompatible(

@@ -25,19 +25,19 @@ DEGREE_TARGET = 16
 
 
 class GameStrategy:
-    """Base contract: one instance per game, one edge per ``step``.
+    """Base contract: one instance per game, one ``step`` per claim or move.
 
-    ``step`` returns ``(edge, target)``; or, from a Breaker, a list of free
-    edges, at most the claims left in the move, that the engine claims in
-    one board call as that many steps; or None to leave the rest of the
-    current move to uniform random play, which the engine draws and claims
-    on the board itself.
+    A Maker's ``step`` is called once per claim and returns ``(edge,
+    target)``, or None for one uniformly random claim.  A Breaker's is
+    called once per move and returns the whole move, a list of exactly
+    min(b, free edges) free edges, or None for a uniformly random move.
+    The engine claims and draws the edges on the board itself.
     """
 
     infeasible_reason: str | None = None
 
     def begin_move(self, board: Board, rng) -> None:  # pragma: no cover
-        pass
+        """No-op kept for callers that wrap it; the engine never calls it."""
 
     def step(self, board: Board,
              rng) -> tuple[Edge, int | None] | list[Edge] | None:

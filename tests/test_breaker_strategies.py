@@ -4,10 +4,9 @@ import pytest
 
 from mbg.board import Board, GameParams, Player
 from mbg.breaker_strategies import (CliquePlanState, CliqueBoxBreaker,
-                                    IsolateBreaker, IsolateState,
-                                    RandomBreaker, box_playing_move,
-                                    clique_building_move, clique_size_target,
-                                    isolate_move, make_breaker)
+                                    IsolateBreaker, RandomBreaker,
+                                    box_playing_move, clique_building_move,
+                                    clique_size_target, make_breaker)
 from mbg.engine import REASON_GOAL_IMPOSSIBLE, play_game
 from mbg.errors import BoxesExhausted, InvalidParams, StrategyInfeasible
 from mbg.maker_strategies import MinDegMaker, make_maker
@@ -17,26 +16,23 @@ class TestIsolate:
     def test_locks_lowest_untouched_vertex(self):
         board = Board(6)
         board.claim(Player.MAKER, (2, 3))
-        params = GameParams(n=6, b=5)
-        state = IsolateState()
-        claims = []
-        for _ in range(5):
-            edge = isolate_move(board, params, state)
-            board.claim(Player.BREAKER, edge)
-            claims.append(edge)
-        assert state.target == 0
-        assert claims == [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
-        # quota spent; the plan degrades to lowest-free filler
-        assert isolate_move(board, params, state) == (1, 2)
+        breaker = IsolateBreaker(GameParams(n=6, b=5))
+        move = breaker.step(board, random.Random(0))
+        assert breaker.target == 0
+        assert move == [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
+        board.claim_many(Player.BREAKER, move, 6)
+        # the target is buried; later moves are the lowest free edges
+        assert breaker.step(board, random.Random(0)) == [
+            (1, 2), (1, 3), (1, 4), (1, 5), (2, 4)]
 
     def test_saturated_target_falls_back_to_filler(self):
         board = Board(4)
         for w in (1, 2, 3):
             board.claim(Player.MAKER, (0, w))
-        state = IsolateState()
-        edge = isolate_move(board, GameParams(n=4, b=3), state)
-        assert state.target == 0
-        assert edge == (1, 2)
+        breaker = IsolateBreaker(GameParams(n=4, b=3))
+        move = breaker.step(board, random.Random(0))
+        assert breaker.target == 0
+        assert move == [(1, 2), (1, 3), (2, 3)]
 
     @pytest.mark.parametrize("b, ok", [(8, False), (9, True)])
     def test_feasibility_is_checked_up_front(self, b, ok):
@@ -48,12 +44,11 @@ class TestIsolate:
                 IsolateBreaker(params)
 
     def test_quota_follows_the_goal_not_raw_k(self):
-        # connectivity plays like degree one, so n - 1 edges are needed
+        # connectivity plays like degree one, so n - 1 edges are needed:
+        # the whole move buries vertex 0, with no filler
         params = GameParams(n=10, b=9, k=3, goal="connectivity")
-        breaker = IsolateBreaker(params)
-        board = Board(10)
-        breaker.step(board, random.Random(0))
-        assert breaker.state.quota == 8
+        move = IsolateBreaker(params).step(Board(10), random.Random(0))
+        assert move == [(0, w) for w in range(1, 10)]
 
     def test_wins_round_one_at_sufficient_bias(self):
         params = GameParams(n=12, b=10, k=2)
@@ -229,16 +224,32 @@ class TestCliqueBoxBreaker:
         assert outcome.reason == REASON_GOAL_IMPOSSIBLE
         assert outcome.decisive_round == 8
 
-    def test_queue_skips_edges_lost_to_maker(self):
-        params = GameParams(n=20, a=1, b=3)
+    def test_each_step_is_a_whole_move_of_free_edges(self):
+        # planning and claiming are one call, so a move is b free edges
+        params = GameParams(n=20, a=1, b=6)
         breaker = CliqueBoxBreaker(params)
-        board = Board(20)
-        breaker.begin_move(board, random.Random(0))
-        board.claim(Player.MAKER, (0, 1))  # steal the planned join
-        # the step hands over the still-free rest of the plan as one list
-        assert breaker.step(board, random.Random(0)) == [(2, 3), (2, 4)]
-        # once it is handed over, a further step claims the lowest free edge
-        assert breaker.step(board, random.Random(0)) == ((0, 2), None)
+        board, rng = Board(20), random.Random(0)
+        stages = []
+        for maker_edge in [(17, 18), (17, 19), (18, 19), (16, 19)]:
+            move = breaker.step(board, rng)
+            assert len(move) == params.b == len(set(move))
+            assert all(board.is_free(e) for e in move)
+            board.claim_many(Player.BREAKER, move, 20)
+            board.claim(Player.MAKER, maker_edge)
+            stages.append(breaker.state.stage)
+        assert stages == ["clique", "clique", "box", "box"]
+
+    def test_a_short_box_move_is_filled_with_the_lowest_free_edges(self):
+        breaker = CliqueBoxBreaker(GameParams(n=20, a=1, b=3))
+        breaker.state = CliquePlanState(h=2, stage="box", clique=[4],
+                                        boxes={4: _box(7)})
+        board, rng = Board(20), random.Random(0)
+        move = breaker.step(board, rng)
+        assert move == [(4, 7), (0, 1), (0, 2)]
+        assert breaker.state.stage == "done"
+        board.claim_many(Player.BREAKER, move, 20)
+        # past the box game, every move is the lowest free edges
+        assert breaker.step(board, rng) == [(0, 3), (0, 4), (0, 5)]
 
 
 def test_random_breaker_is_seed_deterministic():
@@ -255,7 +266,6 @@ def test_fallback_leaves_the_move_to_random_play():
     params = GameParams(n=40, b=12)
     breaker = CliqueBoxBreaker(params)
     breaker.state.stage = "fallback"
-    breaker.begin_move(Board(40), random.Random(0))
     assert breaker.step(Board(40), random.Random(0)) is None
 
 

@@ -35,15 +35,16 @@ def run(n=12, a=1, b=2, k=1, goal="min-degree", maker="min-deg",
 
 
 class TakenEdge:
-    """A strategy that always claims (0, 1), taken after its first claim."""
+    """A strategy that always claims (0, 1), taken after its first claim:
+    as Maker one edge per step, as Breaker a whole move of that one edge."""
 
     infeasible_reason = None
 
-    def begin_move(self, board, rng):
-        pass
+    def __init__(self, breaker=False):
+        self.move = [(0, 1)] if breaker else ((0, 1), None)
 
     def step(self, board, rng):
-        return (0, 1), None
+        return self.move
 
 
 def collector_set(enabled):
@@ -153,19 +154,18 @@ class TestPlayGame:
     def test_strategy_returning_claimed_edge_is_rejected(self):
         params = GameParams(n=5, a=1, b=1)
         with pytest.raises(StrategyViolation):
-            play_game(params, TakenEdge(), TakenEdge(), seed=0)
+            play_game(params, TakenEdge(), TakenEdge(breaker=True), seed=0)
 
     def test_planned_list_is_claimed_as_consecutive_steps(self):
         class Planner:
-            infeasible_reason = None
+            """Plans its opening move; every later move is random."""
 
-            def begin_move(self, board, rng):
-                self.plan = [e for e in ((0, 1), (0, 2), (3, 4))
-                             if board.is_free(e)]
+            infeasible_reason = None
+            plan = [(0, 1), (0, 2), (3, 4), (0, 3)]
 
             def step(self, board, rng):
-                plan, self.plan = self.plan, []
-                return plan or (board.lowest_free_edge(), None)
+                plan, self.plan = self.plan, None
+                return plan
 
         params = GameParams(n=8, a=1, b=4)
         _, trace = play_game(params, make_maker("min-deg", params),
@@ -178,27 +178,51 @@ class TestPlayGame:
             (1, 3, Player.BREAKER, (3, 4), None),
             (1, 4, Player.BREAKER, (0, 3), None)]
 
-    @pytest.mark.parametrize("maker_plans, plan", [
-        (False, [(0, 1), (0, 2), (0, 3)]),  # longer than the bias of 2
-        (False, []),                        # claims nothing
-        (False, [(0, 1), (0, 1)]),          # takes an edge twice
-        (True, [(0, 1)]),                   # Maker claims one edge per step
+    @pytest.mark.parametrize("maker_plans, plan, message", [
+        # one claim, not the whole move
+        (False, ((0, 1), None), "returns 2 free edges in a list or None"),
+        (False, [(0, 1)], "got 1 edges"),                  # short of b = 2
+        (False, [(0, 1), (0, 2), (0, 3)], "got 3 edges"),  # past b = 2
+        (False, [], "got 0 edges"),                        # claims nothing
+        (False, [(0, 1), (0, 1)], "non-free edge"),        # an edge twice
+        (True, [(0, 1)], "Maker step returns"),            # one per step
     ])
-    def test_bad_planned_lists_are_rejected(self, maker_plans, plan):
+    def test_bad_planned_lists_are_rejected(self, maker_plans, plan, message):
         class Planner:
             infeasible_reason = None
 
-            def begin_move(self, board, rng):
-                pass
-
             def step(self, board, rng):
-                return list(plan)
+                return plan[:] if type(plan) is list else plan
 
         params = GameParams(n=6, a=1, b=2)
         maker = Planner() if maker_plans else make_maker("min-deg", params)
         breaker = make_breaker("random", params) if maker_plans else Planner()
-        with pytest.raises(StrategyViolation):
+        with pytest.raises(StrategyViolation, match=message):
             play_game(params, maker, breaker, seed=0)
+
+    def test_a_move_past_the_free_edges_left_is_what_is_left(self):
+        # with fewer free edges than b, a whole move is every free edge
+        class Rest:
+            infeasible_reason = None
+
+            def step(self, board, rng):
+                return list(itertools.islice(board.free_edges(), 3))
+
+        params = GameParams(n=4, a=1, b=3)
+        outcome, trace = play_game(params, make_maker("min-deg", params),
+                                   Rest(), seed=0, early_stop=False)
+        assert outcome.reason == REASON_BOARD_EXHAUSTED
+        assert [(mv.round, mv.step, mv.player) for mv in trace.moves] == [
+            (1, 1, Player.BREAKER), (1, 2, Player.BREAKER),
+            (1, 3, Player.BREAKER), (1, 1, Player.MAKER),
+            (2, 1, Player.BREAKER), (2, 2, Player.BREAKER)]
+
+    @pytest.mark.parametrize("seed", ["abc", None, 1.5, True])
+    def test_a_seed_that_is_not_an_int_is_rejected_before_play(self, seed):
+        params = GameParams(n=5)
+        with pytest.raises(InvalidParams, match="seed must be an int"):
+            play_game(params, make_maker("min-deg", params),
+                      make_breaker("random", params), seed=seed)
 
     @pytest.mark.parametrize("index", [7, 20])
     def test_hamiltonicity_is_seen_before_stage_three(self, index):
@@ -311,10 +335,42 @@ class TestTrace:
         rows_text('[[0, 1, true]]'), rows_text('[[0, 1, 1.0]]'),
         # a target that is not an endpoint of its row
         rows_text('[[0, 1, 3]]'),
+        # moves that are not a list
+        rows_text('{}'), rows_text('"01"'),
     ])
     def test_malformed_json_is_incompatible(self, text):
         with pytest.raises(TraceIncompatible):
             trace_from_json(text)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"seed": "abc"}, "seed is str, not int"),
+        ({"seed": None}, "seed is NoneType, not int"),
+        ({"seed": 1.5}, "seed is float, not int"),
+        ({"seed": True}, "seed is bool, not int"),
+        ({"params": {"k": True}}, "params.k is bool, not int"),
+        ({"params": {"n": 5.0}}, "params.n is float, not int"),
+        ({"params": {"goal": 1}}, "params.goal is int, not str"),
+        ({"outcome": {"decisiveRound": "7"}},
+         "outcome.decisiveRound is str, not int"),
+        ({"outcome": {"decisiveRound": True}},
+         "outcome.decisiveRound is bool, not int"),
+        ({"outcome": {"reason": 5}}, "outcome.reason is int, not str"),
+        ({"outcome": {"flags": "strategy-infeasible"}},
+         "outcome.flags is str, not list"),
+        ({"outcome": {"flags": [1]}}, "outcome.flags holds a non-string"),
+        ({"outcome": []}, "outcome is list, not dict"),
+    ])
+    def test_fields_of_the_wrong_type_are_named(self, change, message):
+        # as in rows, a bool is not an int
+        outcome, trace = run(seed=11)
+        doc = json.loads(trace_to_json(trace, outcome))
+        for key, value in change.items():
+            if type(value) is dict:
+                doc[key].update(value)
+            else:
+                doc[key] = value
+        with pytest.raises(TraceIncompatible, match=message):
+            trace_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("rows, message", [
         ('[["a", 1, 5]]', "move 0 is not a row of 2 or 3 ints"),
@@ -401,7 +457,8 @@ class TestCollectorPause:
         call = {
             "play_game": lambda: run(n=20, b=7, k=3, seed=11),
             "play_game_taken_edge": lambda: play_game(
-                GameParams(n=5), TakenEdge(), TakenEdge(), seed=0),
+                GameParams(n=5), TakenEdge(), TakenEdge(breaker=True),
+                seed=0),
             "trace_to_json": lambda: trace_to_json(trace, outcome),
             "trace_from_json": lambda: trace_from_json(text),
             "trace_from_json_repeated_edge": lambda: trace_from_json(

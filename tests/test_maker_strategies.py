@@ -31,9 +31,6 @@ class _CheckedStage3:
         self.maker = maker
         self.deficiencies = []
 
-    def begin_move(self, board, rng):
-        self.maker.begin_move(board, rng)
-
     def step(self, board, rng):
         g = SimpleGraph.from_board(board, Player.MAKER)
         before = self.maker.state.claims_in_stage["III"]

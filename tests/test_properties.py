@@ -1,5 +1,7 @@
-"""Randomised invariant checks (hypothesis)."""
+"""Randomised invariant checks (hypothesis), and invariants over grids of
+seeded games."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -200,6 +202,40 @@ def test_early_stop_never_changes_the_winner(n, b, seed):
                                early_stop=early)
         outcomes.append(outcome.winner)
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+@pytest.mark.parametrize("breaker_name", ["isolate", "clique-box"])
+def test_breaker_steps_are_whole_moves(breaker_name, early_stop):
+    # Every planned Breaker move is exactly min(b, free edges) distinct free
+    # edges: the opening and filler moves of isolate, and clique-box's
+    # clique, box, box-winning and finished moves (the last two are short
+    # plans, filled).
+    stages = set()
+    for n, a, k, maker_name, seed in itertools.product(
+            (12, 20, 40), (1, 2), (1, 2), ("min-deg", "random"), range(3)):
+        for b in (n // 4, n // 2, n - k, n - 1, n + 3):
+            params = GameParams(n=n, a=a, b=b, k=k)
+            try:
+                breaker = make_breaker(breaker_name, params)
+            except MBGError:
+                continue
+            planner = breaker.step
+
+            def step(board, rng):
+                size = min(b, board.free_count)
+                move = planner(board, rng)
+                if move is not None:
+                    assert len(move) == len(set(move)) == size
+                    assert all(board.is_free(e) for e in move)
+                return move
+
+            breaker.step = step
+            play_game(params, make_maker(maker_name, params), breaker, seed,
+                      early_stop=early_stop)
+            stages.add(getattr(getattr(breaker, "state", None), "stage", None))
+    if breaker_name == "clique-box":
+        assert {"done", "fallback"} <= stages
 
 
 @SLOW
