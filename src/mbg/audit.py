@@ -23,11 +23,11 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
 
-from .board import MAKER
+from .board import MAKER, row_tables
 from .board import new_board  # noqa: F401  unused; bench/tracing.py patches it
 from .boxgame import harmonic
 from .engine import GameTrace, _collector_paused
-from .errors import EdgeAlreadyClaimed, InvalidParams, TraceIncompatible
+from .errors import InvalidParams, TraceIncompatible
 
 # One-sided slack for comparisons against float logarithms.
 LOG_TOLERANCE = 1e-9
@@ -135,7 +135,7 @@ class PotentialAudit:
 
 
 def _replay(trace: GameTrace, s: int | None = None):
-    """Replay ``trace`` once on degree counters.
+    """Replay ``trace`` once on degree counters, move by move.
 
     Returns (point, s, snap_b, snap_m, targets, breaker_edges, reach).
     ``point`` is the first foreclosure: the round and vertex of the first
@@ -144,56 +144,48 @@ def _replay(trace: GameTrace, s: int | None = None):
     also collects the snapshots before each round and before each Maker
     move, the Maker targets of each round, the round of every Breaker edge
     and ``reach[v]``, the round in which dM(v) reached k, then stops.  With
-    s None it also stops once every dM(v) >= k: from then on
-    dB(v) <= n-1-dM(v) keeps every vertex within the limit.
-
-    A flag per vertex pair, at u*n + v, records the claimed edges, so a
-    repeated edge raises EdgeAlreadyClaimed and a pair that is not
-    0 <= u < v < n raises InvalidParams, as a board would.
+    s None it also stops after the Maker move in which every dM(v) reaches
+    k: from then on dB(v) <= n-1-dM(v) keeps every vertex within the limit.
     """
     params = trace.params
     n, k, limit = params.n, params.threshold_degree(), params.foreclosure_limit()
     point = None
     snap_b, snap_m, targets, breaker_edges = {}, {}, {}, []
     below_k = n
-    dM, dB, claimed = [0] * n, [0] * n, bytearray(n * n)
+    dM, dB = [0] * n, [0] * n
     reach = [math.inf] * n  # never reached k
+    aimed = trace.targets
 
     def shot():
         return DegreeSnapshot(tuple(dM), tuple(dB))
 
     stop = math.inf if s is None else s
-    round_b = round_m = 0
-    for rnd, _, player, (u, v), target in trace.moves:
-        if rnd != round_b:
-            if rnd > stop:
-                break
-            round_b = rnd
-            snap_b[rnd] = shot()
-        if not 0 <= u < v < n:
-            raise InvalidParams(
-                f"edge {(u, v)!r} is not a valid pair on {n} vertices")
-        slot = u * n + v
-        if claimed[slot]:
-            raise EdgeAlreadyClaimed(f"edge {(u, v)!r} is claimed twice")
-        claimed[slot] = 1
+    rows, shifts = row_tables(n)
+    slots = trace.slots
+    for rnd, player, first, end in trace.move_spans():
         if player is MAKER:
-            if rnd != round_m:
-                round_m = rnd
-                snap_m[rnd] = shot()
-                round_targets = targets[rnd] = []
-            round_targets.append(target)
-            du = dM[u] = dM[u] + 1
-            dv = dM[v] = dM[v] + 1
-            if du == k:
-                reach[u] = rnd
-                below_k -= 1
-            if dv == k:
-                reach[v] = rnd
-                below_k -= 1
+            snap_m[rnd] = shot()
+            targets[rnd] = [aimed.get(index) for index in range(first, end)]
+            for slot in slots[first:end]:
+                u = rows[slot]
+                v = slot - shifts[u]
+                du = dM[u] = dM[u] + 1
+                dv = dM[v] = dM[v] + 1
+                if du == k:
+                    reach[u] = rnd
+                    below_k -= 1
+                if dv == k:
+                    reach[v] = rnd
+                    below_k -= 1
             if below_k == 0 and s is None:
                 break
-        else:
+            continue
+        if rnd > stop:
+            break
+        snap_b[rnd] = shot()
+        for slot in slots[first:end]:
+            u = rows[slot]
+            v = slot - shifts[u]
             breaker_edges.append((rnd, u, v))
             du = dB[u] = dB[u] + 1
             dv = dB[v] = dB[v] + 1

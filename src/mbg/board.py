@@ -8,19 +8,21 @@ uniform sampling, and per-vertex degree counters for both players keep the
 hot paths of the simulator O(1) per claim.
 
 Edges are plain ``(u, v)`` tuples with ``u < v``.  The pool keys an edge by
-its slot in the triangular order: ``u*n - u*(u+1)/2 + (v-u-1)``.
-``claim_many`` (and ``claim``, one edge of it) encodes planned edges with
-that formula; ``claim_random`` draws pool positions and inverts it
-arithmetically, so the board keeps no slot-to-edge table: its memory is the
-pool, two lists of m = n(n-1)/2 slots.
+its slot in the triangular order: ``u*n - u*(u+1)/2 + (v-u-1)``.  That
+formula lives in ``row_tables``, as one shift per row (the slot of (u, v) is
+``shifts[u] + v``) and the row of every slot, two bytes each, which inverts
+it.  So the board's memory is the pool, two lists of m = n(n-1)/2 slots,
+plus 2m bytes.  Every claim swaps its slot to the end of the free prefix,
+so the pool's tail is the log of the game's claims (``claimed_slots``).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
 from enum import Enum
-from math import isqrt
+from operator import sub
 
 from .errors import EdgeAlreadyClaimed, InvalidParams, NoFreeEdge
 
@@ -60,6 +62,12 @@ class GameParams:
     goal: str = "min-degree"
 
     def __post_init__(self) -> None:
+        for name in ("n", "a", "b", "k"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InvalidParams(f"{name} must be an int, got {value!r}")
+        if type(self.goal) is not str:
+            raise InvalidParams(f"goal must be a str, got {self.goal!r}")
         if self.goal not in GOALS:
             raise InvalidParams(f"unknown goal {self.goal!r}; expected one of {GOALS}")
         m = self.n * (self.n - 1) // 2
@@ -103,11 +111,33 @@ def bits(mask: int) -> list[int]:
     return out
 
 
+def row_tables(n: int) -> tuple[array, list[int]]:
+    """The slot formula of K_n and its inverse, as two tables.
+
+    Row u of the triangular order holds the n-1-u slots from
+    u*n - u(u+1)/2 on, so the slot of (u, v) is ``shifts[u] + v``.  Back
+    from a slot, ``rows[slot]`` is its row u and ``slot - shifts[u]`` its
+    other endpoint v.
+    """
+    rows = array("H")
+    for u in range(n - 1):
+        rows.extend(array("H", (u,)) * (n - 1 - u))
+    shifts = [u * n - u * (u + 3) // 2 - 1 for u in range(n - 1)]
+    return rows, shifts
+
+
+def slot_edges(n: int, slots: Sequence[int]) -> list[Edge]:
+    """The edges at ``slots`` of K_n's triangular order, in order."""
+    rows, shifts = row_tables(n)
+    us = list(map(rows.__getitem__, slots))
+    return list(zip(us, map(sub, slots, map(shifts.__getitem__, us))))
+
+
 class Board:
     """Mutable claim state of K_n's edge set."""
 
     __slots__ = ("n", "m", "maker", "breaker", "dM", "dB", "_full", "_free",
-                 "_free_pos", "free_count")
+                 "_free_pos", "free_count", "_rows", "_shifts")
 
     def __init__(self, n: int):
         if not (3 <= n <= MAX_N):
@@ -127,6 +157,7 @@ class Board:
         self._free = list(range(self.m))
         self._free_pos = self._free.copy()
         self.free_count = self.m
+        self._rows, self._shifts = row_tables(n)
 
     def state_of(self, edge: Edge) -> Player | None:
         if self.is_free(edge):
@@ -155,21 +186,20 @@ class Board:
         ``player`` above ``limit``, like ``claim_random``, and returns the
         prefix of ``edges`` claimed.  Raises InvalidParams for a pair that
         is not ``0 <= u < v < n`` and EdgeAlreadyClaimed for a taken edge;
-        the edges before it stay claimed.  Only this method maps an edge to
-        its slot in the free pool; ``claim_random`` inverts the mapping.
+        the edges before it stay claimed.
         """
         n = self.n
         if player is MAKER:
             rows, degree = self.maker, self.dM
         else:
             rows, degree = self.breaker, self.dB
-        free, free_pos = self._free, self._free_pos
+        free, free_pos, shifts = self._free, self._free_pos, self._shifts
         start = count = self.free_count
         for u, v in edges:
             if not (0 <= u < v < n):
                 raise InvalidParams(
                     f"edge {(u, v)!r} is not a valid pair on {n} vertices")
-            idx = u * n - u * (u + 1) // 2 + (v - u - 1)
+            idx = shifts[u] + v
             pos = free_pos[idx]
             if pos >= count:
                 raise EdgeAlreadyClaimed(
@@ -222,11 +252,10 @@ class Board:
         Each draw takes a position below ``free_count`` with CPython's own
         ``randrange`` algorithm on ``rng.getrandbits`` (so the random stream
         is that of ``rng.randrange(free_count)``), decodes the pool slot
-        there by inverting ``claim``'s formula from the far end (the
-        t = n-2-u rows after row u hold t(t+1)/2 slots) and swaps it past
-        the free prefix, a partial Fisher-Yates shuffle of the pool.  Stops
-        after the first claim that lifts an endpoint's degree for ``player``
-        above ``limit``, or once no edge is free.  Returns the claimed edges
+        there with the board's ``row_tables`` and swaps it past the free
+        prefix, a partial Fisher-Yates shuffle of the pool.  Stops after the
+        first claim that lifts an endpoint's degree for ``player`` above
+        ``limit``, or once no edge is free.  Returns the claimed edges
         in draw order; NoFreeEdge when no edge is free at the call.
         """
         free_count = self.free_count
@@ -238,7 +267,7 @@ class Board:
             rows, degree = self.breaker, self.dB
         free, free_pos = self._free, self._free_pos
         getrandbits = rng.getrandbits
-        n, top = self.n, self.m - 1
+        rows_of, shifts = self._rows, self._shifts
         claimed = []
         for _ in range(min(count, free_count)):
             bits_needed = free_count.bit_length()
@@ -250,10 +279,8 @@ class Board:
             last = free[free_count]
             free[pos], free[free_count] = last, idx
             free_pos[last], free_pos[idx] = free_pos[idx], free_pos[last]
-            rest = top - idx
-            t = (isqrt(8 * rest + 1) - 1) // 2
-            u = n - 2 - t
-            v = n - 1 - rest + t * (t + 1) // 2
+            u = rows_of[idx]
+            v = idx - shifts[u]
             rows[u] |= 1 << v
             rows[v] |= 1 << u
             degree[u] += 1
@@ -263,6 +290,17 @@ class Board:
                 break
         self.free_count = free_count
         return claimed
+
+    def claimed_slots(self) -> list[int]:
+        """The pool slots of every claim so far, in claim order.
+
+        Each claim swaps its slot to position ``free_count - 1`` and then
+        lowers ``free_count``, and no later claim moves a slot at or past
+        ``free_count``: the pool's tail, read backwards, is the claim log.
+        """
+        tail = self._free[self.free_count:]
+        tail.reverse()
+        return tail
 
     def free_edges(self) -> Iterator[Edge]:
         """All free edges in lexicographic order, generated lazily."""

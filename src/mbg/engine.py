@@ -7,7 +7,9 @@ live position.  Breaker hands over its whole move as one list, which the
 board claims in one call (``Board.claim_many``).  Either side may leave its
 move to uniform random play instead; the board then draws and claims those
 edges itself (``Board.claim_random``).  The engine stops a game the moment
-its outcome is certain and records every claim in a replayable trace.
+its outcome is certain.  Its trace is the board's own claim log, the pool
+slots of every claim in order (``Board.claimed_slots``), read once when play
+ends, plus the targets Maker named.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .board import MAKER, Board, Edge, GameParams, Player
+from .board import (MAKER, Board, Edge, GameParams, Player, row_tables,
+                    slot_edges)
 from .errors import (EdgeAlreadyClaimed, InvalidParams, StageBlocked,
                      StrategyViolation, TraceIncompatible)
 from .oracles import HAMILTONIAN_CAP, SimpleGraph, is_connected, is_hamiltonian
@@ -34,7 +37,7 @@ TRACE_FORMAT = 2
 
 
 class MoveRecord(NamedTuple):
-    """One claim of a trace; a named tuple, so a record costs one tuple."""
+    """One claim of a trace, spelled out; a named tuple."""
 
     round: int
     step: int
@@ -43,9 +46,9 @@ class MoveRecord(NamedTuple):
     target: int | None = None
 
 
-# The per-claim paths build a record as ``_new_tuple(MoveRecord, (round, step,
-# player, edge, target))``: tuple.__new__ runs in C, while the named tuple's
-# own __new__ is a Python function, a frame per record.
+# ``GameTrace.moves`` builds a record as ``_new_tuple(MoveRecord, (round,
+# step, player, edge, target))``: tuple.__new__ runs in C, while the named
+# tuple's own __new__ is a Python function, a frame per record.
 _new_tuple = tuple.__new__
 
 
@@ -54,12 +57,12 @@ def _collector_paused():
     """Run the block, or the decorated function, with automatic cyclic
     garbage collection off.
 
-    The sections that use it allocate a tracked object per claim (trace
-    records, JSON rows) but create no reference cycles, so a collection
-    inside them walks every record made so far and frees nothing.  The
-    switch is process-global: a thread running meanwhile goes without
-    automatic collection too.  On exit, by return or raise, collection is
-    switched back on only if it was on at entry.
+    The sections that use it allocate a tracked object per claim (JSON
+    rows, audit tuples, records) but create no reference cycles, so a
+    collection inside them walks every object made so far and frees
+    nothing.  The switch is process-global: a thread running meanwhile goes
+    without automatic collection too.  On exit, by return or raise,
+    collection is switched back on only if it was on at entry.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -72,15 +75,82 @@ def _collector_paused():
 
 @dataclass
 class GameTrace:
+    """The claims of one game.
+
+    ``slots`` holds the board's pool slot of each claim, in claim order,
+    and ``targets`` the vertex Maker aimed each planned claim at, keyed by
+    claim index.  A claim's round, step and player follow from its index
+    through ``move_order``, since only a game's last move can be short, and
+    its edge from its slot through ``slot_edges``.  The slots are trusted:
+    play, ``trace_from_json`` and ``from_moves`` make only legal ones.
+    """
+
     params: GameParams
     seed: int
-    moves: list[MoveRecord] = field(default_factory=list)
+    slots: list[int] = field(default_factory=list)
+    targets: dict[int, int] = field(default_factory=dict)
+    _moves: list[MoveRecord] | None = field(default=None, init=False,
+                                            repr=False, compare=False)
+
+    @classmethod
+    def from_moves(cls, params: GameParams, seed: int,
+                   records) -> "GameTrace":
+        """The trace whose claims are ``records``, in ``move_order``.
+
+        Claims them on a board, so an edge claimed twice raises
+        EdgeAlreadyClaimed and a pair that is not 0 <= u < v < n raises
+        InvalidParams; so does a record whose round, step and player are
+        not those of the next claim in ``move_order``.
+        """
+        board, targets = Board(params.n), {}
+        order = ((rnd, step, player)
+                 for rnd, player, bias in move_order(params.a, params.b)
+                 for step in range(1, bias + 1))
+        for index, (record, expected) in enumerate(zip(records, order)):
+            rnd, step, player, edge, target = record
+            if (rnd, step, player) != expected:
+                raise InvalidParams(
+                    f"record {index} is claim {step} of {player.value} in "
+                    f"round {rnd}; move_order has claim {expected[1]} of "
+                    f"{expected[2].value} in round {expected[0]}")
+            board.claim(player, edge)
+            if target is not None:
+                targets[index] = target
+        return cls(params, seed, board.claimed_slots(), targets)
+
+    @property
+    def moves(self) -> list[MoveRecord]:
+        """Every claim as a ``MoveRecord``, in claim order; built on the
+        first read and the same list on every later one."""
+        if self._moves is None:
+            targets = self.targets
+            edges = slot_edges(self.params.n, self.slots)
+            with _collector_paused():
+                self._moves = [
+                    _new_tuple(MoveRecord, (rnd, index - first + 1, player,
+                                            edges[index], targets.get(index)))
+                    for rnd, player, first, end in self.move_spans()
+                    for index in range(first, end)]
+        return self._moves
+
+    def move_spans(self) -> Iterator[tuple[int, Player, int, int]]:
+        """(round, player, first, end) of every move, in ``move_order``:
+        the move's claims are those with index first..end-1."""
+        claims, first = len(self.slots), 0
+        for rnd, player, bias in move_order(self.params.a, self.params.b):
+            if first >= claims:
+                return
+            end = min(first + bias, claims)
+            yield rnd, player, first, end
+            first = end
 
     def maker_claims(self) -> int:
-        return sum(1 for mv in self.moves if mv.player is MAKER)
+        a, b = self.params.a, self.params.b
+        rounds, rest = divmod(len(self.slots), a + b)
+        return rounds * a + max(0, rest - b)
 
     def rounds_played(self) -> int:
-        return self.moves[-1].round if self.moves else 0
+        return -(-len(self.slots) // (self.params.a + self.params.b))
 
 
 @dataclass(frozen=True)
@@ -157,38 +227,42 @@ def play_game(params: GameParams, maker, breaker, seed: int,
     if params.goal == "hamiltonicity" and params.n > HAMILTONIAN_CAP:
         raise InvalidParams(
             f"hamiltonicity games need n <= {HAMILTONIAN_CAP} for exact detection")
-    trace = GameTrace(params=params, seed=seed)
-    winner, decisive_round, reason = _play(params, Board(params.n), trace,
-                                           maker, breaker, random.Random(seed),
+    board, targets = Board(params.n), {}
+    winner, decisive_round, reason = _play(params, board, targets, maker,
+                                           breaker, random.Random(seed),
                                            early_stop)
     flags = tuple("strategy-infeasible" for strat in (maker, breaker)
                   if getattr(strat, "infeasible_reason", None))
+    trace = GameTrace(params, seed, board.claimed_slots(), targets)
     return GameOutcome(winner, decisive_round, reason, flags), trace
 
 
-@_collector_paused()
-def _play(params: GameParams, board: Board, trace: GameTrace, maker, breaker,
-          rng, early_stop: bool) -> tuple[Player, int, str]:
+def _play(params: GameParams, board: Board, targets: dict[int, int], maker,
+          breaker, rng, early_stop: bool) -> tuple[Player, int, str]:
     """(winner, decisive round, reason) of the game played on ``board``.
 
     Every move claims at least one free edge or raises, so the board is
-    exhausted within m claims.
+    exhausted within m claims.  The board logs the claims; ``targets``
+    gets the target of each planned Maker claim, by claim index.
     """
     limit = params.foreclosure_limit()
     # Runs of random or planned claims stop at a foreclosure only when the
     # engine would act on it.
     run_limit = limit if early_stop else params.n
     goal, k = params.goal, params.k
-    moves, dB = trace.moves, board.dB
+    dB, last_slot = board.dB, board.m - 1
     try:
         for round_no, player, bias in move_order(params.a, params.b):
             if board.free_count == 0:
                 achieved = detect_maker_win(board, goal, k)
+                # Breaker opens each round, so it played this round only
+                # if the board ran out before Maker's move.
+                played = round_no if player is MAKER else round_no - 1
                 return (Player.MAKER if achieved else Player.BREAKER,
-                        trace.rounds_played(), REASON_BOARD_EXHAUSTED)
+                        played, REASON_BOARD_EXHAUSTED)
             if player is MAKER:
                 # One claim per step, each tested for a win.
-                for step_no in range(1, min(bias, board.free_count) + 1):
+                for _ in range(min(bias, board.free_count)):
                     try:
                         move = maker.step(board, rng)
                     except StageBlocked:
@@ -196,8 +270,7 @@ def _play(params: GameParams, board: Board, trace: GameTrace, maker, breaker,
                         # every edge between two of its components is gone).
                         return Player.BREAKER, round_no, REASON_GOAL_IMPOSSIBLE
                     if move is None:
-                        edge, = board.claim_random(MAKER, rng, 1, run_limit)
-                        target = None
+                        board.claim_random(MAKER, rng, 1, run_limit)
                     elif type(move) is list:
                         raise StrategyViolation(
                             "a Maker step returns (edge, target) or None, "
@@ -205,8 +278,8 @@ def _play(params: GameParams, board: Board, trace: GameTrace, maker, breaker,
                     else:
                         edge, target = move
                         board.claim(MAKER, edge)
-                    moves.append(_new_tuple(MoveRecord, (round_no, step_no,
-                                                         MAKER, edge, target)))
+                        if target is not None:
+                            targets[last_slot - board.free_count] = target
                     if early_stop and detect_maker_win(board, goal, k):
                         return Player.MAKER, round_no, REASON_GOAL_ACHIEVED
                 continue
@@ -224,10 +297,7 @@ def _play(params: GameParams, board: Board, trace: GameTrace, maker, breaker,
                         f"a Breaker step returns {size} free edges in a list "
                         f"or None, got {shape}")
                 edges = board.claim_many(player, move, run_limit)
-            for step_no, edge in enumerate(edges, 1):
-                moves.append(_new_tuple(MoveRecord, (round_no, step_no, player,
-                                                     edge, None)))
-            u, v = edge
+            u, v = edges[-1]
             if early_stop and (dB[u] > limit or dB[v] > limit):
                 return Player.BREAKER, round_no, REASON_GOAL_IMPOSSIBLE
     except EdgeAlreadyClaimed as exc:
@@ -237,9 +307,11 @@ def _play(params: GameParams, board: Board, trace: GameTrace, maker, breaker,
 
 def replay_trace(trace: GameTrace) -> Board:
     """Apply every recorded claim on a fresh board; validates legality."""
-    board = Board(trace.params.n)
-    for mv in trace.moves:
-        board.claim(mv.player, mv.edge)
+    n = trace.params.n
+    board = Board(n)
+    edges = slot_edges(n, trace.slots)
+    for _, player, first, end in trace.move_spans():
+        board.claim_many(player, edges[first:end], n)
     return board
 
 
@@ -247,12 +319,14 @@ def replay_trace(trace: GameTrace) -> Board:
 def trace_to_json(trace: GameTrace, outcome: GameOutcome | None = None) -> str:
     """Format-2 text of a trace: one ``[u, v]`` or ``[u, v, target]`` row per
     claim, in ``move_order``; round, step and player follow from (a, b)."""
+    rows = slot_edges(trace.params.n, trace.slots)
+    for index, target in trace.targets.items():
+        rows[index] += (target,)
     doc = {
         "format": TRACE_FORMAT,
         "params": trace.params.as_dict(),
         "seed": trace.seed,
-        "moves": [[u, v] if target is None else [u, v, target]
-                  for _, _, _, (u, v), target in trace.moves],
+        "moves": rows,
     }
     if outcome is not None:
         doc["outcome"] = {
@@ -304,15 +378,12 @@ def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
             _typed(doc, f"params.{key}", int)
         _typed(doc, "params.goal", str)
         params = GameParams.from_dict(doc["params"])
-        trace = GameTrace(params=params, seed=_typed(doc, "seed", int))
-        claims = ((rnd, step, player)
-                  for rnd, player, bias in move_order(params.a, params.b)
-                  for step in range(1, bias + 1))
-        n, moves = params.n, trace.moves
-        # One flag per vertex pair, at u*n + v: set once its edge is read.
-        claimed = bytearray(n * n)
-        for row, (rnd, step, player) in zip(_typed(doc, "moves", list),
-                                            claims):
+        trace = GameTrace(params, _typed(doc, "seed", int))
+        n, slots, targets = params.n, trace.slots, trace.targets
+        shifts = row_tables(n)[1]
+        # One flag per pool slot: set once its edge is read.
+        claimed = bytearray(params.edge_total)
+        for index, row in enumerate(_typed(doc, "moves", list)):
             if type(row) is list and len(row) == 2:
                 u, v = row
                 target = None
@@ -322,23 +393,22 @@ def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
                 u = v = None
             if type(u) is not int or type(v) is not int:
                 raise TraceIncompatible(
-                    f"move {len(moves)} is not a row of 2 or 3 ints")
+                    f"move {index} is not a row of 2 or 3 ints")
             if not 0 <= u < v < n:
                 raise TraceIncompatible(
-                    f"move {len(moves)} is ({u}, {v}), not 0 <= u < v < {n}")
-            if target is not None and target != u and target != v:
-                raise TraceIncompatible(
-                    f"move {len(moves)} targets {target}, not an endpoint")
-            slot = u * n + v
+                    f"move {index} is ({u}, {v}), not 0 <= u < v < {n}")
+            if target is not None:
+                if target != u and target != v:
+                    raise TraceIncompatible(
+                        f"move {index} targets {target}, not an endpoint")
+                targets[index] = target
+            slot = shifts[u] + v
             if claimed[slot]:
-                first = next(i for i, mv in enumerate(moves)
-                             if mv.edge == (u, v))
                 raise TraceIncompatible(
-                    f"move {len(moves)} repeats the edge ({u}, {v}) of "
-                    f"move {first}")
+                    f"move {index} repeats the edge ({u}, {v}) of "
+                    f"move {slots.index(slot)}")
             claimed[slot] = 1
-            moves.append(_new_tuple(MoveRecord,
-                                    (rnd, step, player, (u, v), target)))
+            slots.append(slot)
         outcome = None
         if "outcome" in doc:
             o = _typed(doc, "outcome", dict)

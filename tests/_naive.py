@@ -230,7 +230,8 @@ def audit(trace, s, vS, r=None):
 
     def position(stop):
         """Degrees after the moves before index ``stop``."""
-        board = replay_trace(GameTrace(params, trace.seed, trace.moves[:stop]))
+        board = replay_trace(GameTrace.from_moves(params, trace.seed,
+                                                  trace.moves[:stop]))
         return DegreeSnapshot(tuple(board.dM), tuple(board.dB))
 
     moves = trace.moves

@@ -28,15 +28,16 @@ from mbg.breaker_strategies import IsolateBreaker, make_breaker
 from mbg.maker_strategies import MinDegMaker, make_maker
 
 
-class CountingMoves(list):
-    """A move list that counts the moves its iterators hand out."""
+class CountingSlots(list):
+    """A slot list that counts the slots its slices hand out."""
 
     consumed = 0
 
-    def __iter__(self):
-        for move in super().__iter__():
-            self.consumed += 1
-            yield move
+    def __getitem__(self, key):
+        got = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.consumed += len(got)
+        return got
 
 
 def scripted_trace(n, a, b, k, rounds):
@@ -48,7 +49,7 @@ def scripted_trace(n, a, b, k, rounds):
             moves.append(MoveRecord(rno, step, Player.BREAKER, edge))
         for step, (edge, target) in enumerate(maker_claims, start=1):
             moves.append(MoveRecord(rno, step, Player.MAKER, edge, target))
-    return GameTrace(params=params, seed=0, moves=moves)
+    return GameTrace.from_moves(params, 0, moves)
 
 
 class TestHarmonic:
@@ -292,17 +293,17 @@ class TestSinglePass:
                          make_breaker("random", params), seed=0,
                          early_stop=early_stop)
 
-    def counting_moves(self, trace):
-        """Swap in a move list that counts the moves iteration hands out."""
-        moves = CountingMoves(trace.moves)
-        trace.moves = moves
-        return moves
+    def counting_slots(self, trace):
+        """Swap in a slot list that counts the slots its slices hand out."""
+        slots = CountingSlots(trace.slots)
+        trace.slots = slots
+        return slots
 
     def test_audit_game_claims_each_move_once(self):
         _, trace = self.loss()
-        moves = self.counting_moves(trace)
+        slots = self.counting_slots(trace)
         assert audit_game(trace) is not None
-        assert 0 < moves.consumed <= len(moves)
+        assert 0 < slots.consumed <= len(slots)
 
     def test_played_out_win_replays_until_maker_holds_degree_k(self):
         params = GameParams(n=20, a=1, b=2, k=2)
@@ -312,11 +313,11 @@ class TestSinglePass:
         won, early = play_game(params, make_maker("min-deg", params),
                                make_breaker("random", params), seed=0)
         assert outcome.winner is won.winner is Player.MAKER
-        moves = self.counting_moves(trace)
+        slots = self.counting_slots(trace)
         assert audit_game(trace) is None
         # after the claim that gives Maker minimum degree k nothing can
         # be foreclosed, and the early-stopped game ends at that claim
-        assert moves.consumed == len(early.moves) < len(moves)
+        assert slots.consumed == len(early.slots) < len(slots)
 
     def test_played_out_loss_is_audited_at_its_foreclosure(self, tmp_path,
                                                            capsys):
@@ -334,8 +335,8 @@ class TestSinglePass:
         assert (audit.s, audit.vS) == point
         first_maker = next(i for i, mv in enumerate(trace.moves)
                            if mv.round == s and mv.player is Player.MAKER)
-        board = replay_trace(GameTrace(trace.params, trace.seed,
-                                       trace.moves[:first_maker]))
+        board = replay_trace(GameTrace.from_moves(trace.params, trace.seed,
+                                                  trace.moves[:first_maker]))
         assert audit.snap_m[s] == DegreeSnapshot(tuple(board.dM),
                                                  tuple(board.dB))
 
@@ -351,25 +352,33 @@ class TestSinglePass:
 
 
 class TestReplayLegality:
-    """The replay checks every claim it reads, as a board would."""
+    """A trace built from records checks every claim, as a board would, so
+    the audit replays only legal claims."""
 
     def test_repeated_edge_is_already_claimed(self):
-        trace = scripted_trace(n=5, a=1, b=1, k=1, rounds=[
-            ([(0, 1)], [((2, 3), 2)]),
-            ([(0, 1)], []),
-        ])
         with pytest.raises(EdgeAlreadyClaimed,
-                           match=r"edge \(0, 1\) is claimed twice"):
-            audit_game(trace)
+                           match=r"edge \(0, 1\) already belongs to Breaker"):
+            scripted_trace(n=5, a=1, b=1, k=1, rounds=[
+                ([(0, 1)], [((2, 3), 2)]),
+                ([(0, 1)], []),
+            ])
 
     @pytest.mark.parametrize("edge", [(1, 0), (2, 2), (-1, 2), (0, 5)])
     def test_pair_outside_the_board_is_invalid(self, edge):
-        trace = scripted_trace(n=5, a=1, b=1, k=1, rounds=[
-            ([(0, 1)], [((2, 3), 2)]),
-            ([edge], []),
-        ])
         with pytest.raises(InvalidParams, match="not a valid pair"):
-            audit_game(trace)
+            scripted_trace(n=5, a=1, b=1, k=1, rounds=[
+                ([(0, 1)], [((2, 3), 2)]),
+                ([edge], []),
+            ])
+
+    @pytest.mark.parametrize("rounds", [
+        [([(0, 1)], []), ([(0, 2)], [])],    # a short move before the last
+        [([], [((0, 1), 0)])],                # Maker before Breaker
+        [([(0, 1), (0, 2)], [])],             # one claim past Breaker's bias
+    ])
+    def test_records_out_of_move_order_are_invalid(self, rounds):
+        with pytest.raises(InvalidParams, match="move_order has claim"):
+            scripted_trace(n=5, a=1, b=1, k=1, rounds=rounds)
 
 
 def outcome_of(run):

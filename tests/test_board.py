@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from mbg.board import (MAX_N, Board, GameParams, Player, new_board,
-                       parse_edge_list)
+                       parse_edge_list, slot_edges)
 from mbg.errors import EdgeAlreadyClaimed, InvalidParams, NoFreeEdge
 from mbg.oracles import SimpleGraph
 
@@ -29,6 +29,19 @@ class TestGameParams:
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidParams):
+            GameParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(n=5, a=True, k=True), "a"),  # a bool is not an int
+        (dict(n=5, k=True), "k"),
+        (dict(n=5.0), "n"),
+        (dict(n=5, b=2.0), "b"),
+        (dict(n="5"), "n"),
+        (dict(n=5, goal=None), "goal"),
+    ])
+    def test_rejects_values_of_the_wrong_type_naming_the_field(self, kwargs,
+                                                               field):
+        with pytest.raises(InvalidParams, match=f"^{field} must be an? "):
             GameParams(**kwargs)
 
     def test_threshold_degree_by_goal(self):
@@ -267,6 +280,52 @@ class TestBoard:
             board.claim_random(Player.MAKER, random.Random(0), 1, 2)
         with pytest.raises(NoFreeEdge):
             board.lowest_free_edge()
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 12, 50, MAX_N])
+    def test_slot_edges_inverts_the_slot_formula(self, n):
+        m = n * (n - 1) // 2
+        picked = sorted({0, 1, n - 2, n - 1, m // 2, m - 2, m - 1}
+                        & set(range(m)))
+        for slot, (u, v) in zip(picked, slot_edges(n, picked)):
+            assert 0 <= u < v < n
+            assert u * n - u * (u + 1) // 2 + (v - u - 1) == slot
+        if n <= 50:
+            assert slot_edges(n, range(m)) == list(combinations(range(n), 2))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_the_pool_tail_is_the_claim_log(self, seed):
+        # claim, claim_many and claim_random, mixed and for both players,
+        # each swap the claimed slot to the end of the free prefix, so the
+        # tail read backwards decodes to the claimed edges in claim order;
+        # the last run is cut short by a foreclosing claim
+        n = 9
+        board, rng = Board(n), random.Random(seed)
+        claimed = []
+        for turn in range(6):
+            player = Player.MAKER if turn % 2 else Player.BREAKER
+            kind = (turn + seed) % 3
+            if kind == 0:
+                edge = next(board.free_edges())
+                board.claim(player, edge)
+                claimed.append(edge)
+            elif kind == 1:
+                plan = rng.sample(list(board.free_edges()), 3)
+                claimed += board.claim_many(player, plan, n)
+            else:
+                claimed += board.claim_random(player, rng, 4, n)
+            assert slot_edges(n, board.claimed_slots()) == claimed
+        # Breaker runs that stop at the claim lifting a degree past 3
+        for run in (board.claim_random, board.claim_many):
+            free = board.free_count
+            if run == board.claim_random:
+                cut = run(Player.BREAKER, rng, free, 3)
+            else:
+                cut = run(Player.BREAKER, list(board.free_edges()), 3)
+            assert 0 < len(cut) < free
+            assert max(board.dB[v] for v in cut[-1]) > 3
+            claimed += cut
+            assert slot_edges(n, board.claimed_slots()) == claimed
+        assert board.free_count == board.m - len(claimed)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 7, 12, 50])
     def test_claim_random_decodes_every_slot_in_combinations_order(self, n):

@@ -133,7 +133,8 @@ class TestPlayGame:
         assert outcome.reason == REASON_GOAL_IMPOSSIBLE
         last = trace.moves[-1]
         assert last.player is Player.BREAKER and last.step <= params.b
-        before = replay_trace(GameTrace(params, seed, trace.moves[:-1]))
+        before = replay_trace(GameTrace.from_moves(params, seed,
+                                                   trace.moves[:-1]))
         limit = params.foreclosure_limit()
         assert max(before.dB) <= limit
         assert max(before.dB[v] for v in last.edge) == limit
@@ -144,7 +145,8 @@ class TestPlayGame:
         outcome, trace = run(n=8, a=3, b=1, maker="random", seed=seed)
         assert outcome.reason == REASON_GOAL_ACHIEVED
         assert trace.moves[-1].player is Player.MAKER
-        before = replay_trace(GameTrace(params, seed, trace.moves[:-1]))
+        before = replay_trace(GameTrace.from_moves(params, seed,
+                                                   trace.moves[:-1]))
         assert not detect_maker_win(before, "min-degree", 1)
 
     def test_connectivity_goal_plays_out(self):
@@ -249,15 +251,26 @@ class TestPlayGame:
 
 class TestTrace:
     def test_target_log_and_counts(self):
-        trace = GameTrace(params=GameParams(n=5), seed=0)
-        trace.moves += [
+        records = [
             MoveRecord(1, 1, Player.BREAKER, (0, 1)),
             MoveRecord(1, 1, Player.MAKER, (2, 3), target=2),
             MoveRecord(2, 1, Player.BREAKER, (0, 2)),
             MoveRecord(2, 1, Player.MAKER, (1, 4), target=4),
         ]
+        trace = GameTrace.from_moves(GameParams(n=5), 0, records)
         assert trace.maker_claims() == 2
         assert trace.rounds_played() == 2
+        assert trace.targets == {1: 2, 3: 4}
+        assert trace.moves == records
+
+    def test_moves_are_built_once_and_read_only(self):
+        _, trace = run(seed=11)
+        moves = trace.moves
+        assert trace.moves is moves
+        assert len(moves) == len(trace.slots)
+        with pytest.raises(AttributeError):
+            trace.moves = []
+        assert trace.moves is moves
 
     def test_replay_rebuilds_the_position(self):
         outcome, trace = run(seed=11)
@@ -449,6 +462,7 @@ class TestCollectorPause:
         ("trace_from_json", None),
         ("trace_from_json_repeated_edge", TraceIncompatible),
         ("audit_game", None),
+        ("moves", None),
     ])
     def test_collector_state_is_kept(self, section, error, enabled):
         outcome, trace = run(n=20, b=7, k=3, seed=11)
@@ -464,6 +478,7 @@ class TestCollectorPause:
             "trace_from_json_repeated_edge": lambda: trace_from_json(
                 rows_text("[[0, 1], [2, 3], [0, 1]]")),
             "audit_game": lambda: audit_game(trace),
+            "moves": lambda: trace_from_json(text)[0].moves,
         }[section]
         was = gc.isenabled()
         collector_set(enabled)
@@ -490,6 +505,7 @@ class TestCollectorPause:
                             probe(engine.detect_maker_win))
         monkeypatch.setattr(engine, "json", SimpleNamespace(
             dumps=probe(json.dumps), loads=probe(json.loads)))
+        monkeypatch.setattr(engine, "_new_tuple", probe(engine._new_tuple))
         monkeypatch.setattr(audit, "compute_g", probe(audit.compute_g))
         was = gc.isenabled()
         gc.enable()
@@ -497,12 +513,15 @@ class TestCollectorPause:
             outcome, trace = run(n=20, b=7, k=3, seed=11)
             back, _ = trace_from_json(trace_to_json(trace, outcome))
             assert audit_game(back) is not None
+            assert back.moves
             assert gc.isenabled()
         finally:
             collector_set(was)
+        # play keeps no object per claim, so it runs with the collector on;
+        # the JSON rows, the audit's tuples and the records are paused
         assert {name for name, _ in seen} == {
-            "detect_maker_win", "dumps", "loads", "compute_g"}
-        assert not any(on for _, on in seen)
+            "detect_maker_win", "dumps", "loads", "__new__", "compute_g"}
+        assert all(on == (name == "detect_maker_win") for name, on in seen)
 
     def test_play_trace_io_and_audit_make_no_reference_cycles(self):
         # The pause is safe because these sections leave nothing for the

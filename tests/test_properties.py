@@ -15,7 +15,7 @@ from mbg.board import Board, GameParams, Player
 from mbg.boxgame import (BoxPlayState, boxmaker_balancing_move,
                          canonical_instance, f_box, f_lower_bound)
 from mbg.breaker_strategies import make_breaker
-from mbg.engine import play_game, trace_from_json, trace_to_json
+from mbg.engine import GameTrace, play_game, trace_from_json, trace_to_json
 from mbg.errors import MBGError, NoFreeEdge
 from mbg.maker_strategies import make_maker
 from mbg.oracles import SimpleGraph, boosters, is_hamiltonian
@@ -238,6 +238,28 @@ def test_breaker_steps_are_whole_moves(breaker_name, early_stop):
         assert {"done", "fallback"} <= stages
 
 
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_claim_counts_are_arithmetic_on_the_claim_log(early_stop):
+    # only a game's last move can be short, so the rounds and Maker claims
+    # of a trace follow from its claim count; count them over the records
+    for n, a, b, maker_name, breaker_name, seed in itertools.product(
+            (6, 12, 20), (1, 2, 3), (1, 3, 7), ("min-deg", "random"),
+            ("random", "isolate", "clique-box"), range(2)):
+        params = GameParams(n=n, a=a, b=b)
+        try:
+            breaker = make_breaker(breaker_name, params)
+        except MBGError:
+            continue
+        _, trace = play_game(params, make_maker(maker_name, params), breaker,
+                             seed, early_stop=early_stop)
+        moves = trace.moves
+        assert trace.rounds_played() == moves[-1].round
+        assert trace.maker_claims() == sum(1 for mv in moves
+                                           if mv.player is Player.MAKER)
+    empty = GameTrace(GameParams(n=5, a=2, b=3), 0)
+    assert empty.rounds_played() == empty.maker_claims() == 0
+
+
 @SLOW
 @given(n=st.integers(5, 10), seed=st.integers(0, 10**6))
 def test_trace_json_round_trip(n, seed):
@@ -340,9 +362,10 @@ def test_audit_of_random_targets_matches_the_reference(a, k, seed,
                          make_breaker("random", params), seed=seed,
                          early_stop=early_stop)
     rng = random.Random(seed)
-    trace.moves = [mv if mv.player is Player.BREAKER
-                   else mv._replace(target=rng.choice(mv.edge))
-                   for mv in trace.moves]
+    trace = GameTrace.from_moves(
+        params, seed, [mv if mv.player is Player.BREAKER
+                       else mv._replace(target=rng.choice(mv.edge))
+                       for mv in trace.moves])
     point = _naive.foreclosure_point(trace)
     result = audit_game(trace)
     if point is None:
