@@ -28,8 +28,8 @@ from .errors import EdgeAlreadyClaimed, InvalidParams, NoFreeEdge
 
 Edge = tuple[int, int]
 
-# Largest board: the free pool grows as n^2 (about 24 MB per board at
-# n = 1000 and 96 MB at n = 2000, in tracemalloc).
+# Largest board: the free pool grows as n^2 (about 25 MB per board at
+# n = 1000 and 100 MB at n = 2000, in tracemalloc).
 MAX_N = 2000
 
 

@@ -92,6 +92,10 @@ class GameTrace:
     _moves: list[MoveRecord] | None = field(default=None, init=False,
                                             repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        if type(self.seed) is not int:
+            raise InvalidParams(f"seed must be an int, got {self.seed!r}")
+
     @classmethod
     def from_moves(cls, params: GameParams, seed: int,
                    records) -> "GameTrace":
@@ -124,8 +128,8 @@ class GameTrace:
         first read and the same list on every later one."""
         if self._moves is None:
             targets = self.targets
-            edges = slot_edges(self.params.n, self.slots)
             with _collector_paused():
+                edges = slot_edges(self.params.n, self.slots)
                 self._moves = [
                     _new_tuple(MoveRecord, (rnd, index - first + 1, player,
                                             edges[index], targets.get(index)))
@@ -255,8 +259,8 @@ def _play(params: GameParams, board: Board, targets: dict[int, int], maker,
         for round_no, player, bias in move_order(params.a, params.b):
             if board.free_count == 0:
                 achieved = detect_maker_win(board, goal, k)
-                # Breaker opens each round, so it played this round only
-                # if the board ran out before Maker's move.
+                # Breaker opens each round, so this round was played only
+                # if the board ran out at Maker's move.
                 played = round_no if player is MAKER else round_no - 1
                 return (Player.MAKER if achieved else Player.BREAKER,
                         played, REASON_BOARD_EXHAUSTED)

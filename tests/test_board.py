@@ -315,12 +315,13 @@ class TestBoard:
                 claimed += board.claim_random(player, rng, 4, n)
             assert slot_edges(n, board.claimed_slots()) == claimed
         # Breaker runs that stop at the claim lifting a degree past 3
-        for run in (board.claim_random, board.claim_many):
+        for run in (
+                lambda: board.claim_random(Player.BREAKER, rng,
+                                           board.free_count, 3),
+                lambda: board.claim_many(Player.BREAKER,
+                                         list(board.free_edges()), 3)):
             free = board.free_count
-            if run == board.claim_random:
-                cut = run(Player.BREAKER, rng, free, 3)
-            else:
-                cut = run(Player.BREAKER, list(board.free_edges()), 3)
+            cut = run()
             assert 0 < len(cut) < free
             assert max(board.dB[v] for v in cut[-1]) > 3
             claimed += cut

@@ -263,6 +263,10 @@ class TestTrace:
         assert trace.targets == {1: 2, 3: 4}
         assert trace.moves == records
 
+    def test_seed_must_be_an_int(self):
+        with pytest.raises(InvalidParams, match="seed must be an int"):
+            GameTrace(GameParams(n=5), "x")
+
     def test_moves_are_built_once_and_read_only(self):
         _, trace = run(seed=11)
         moves = trace.moves
