@@ -248,10 +248,10 @@ def _rebuild(trace: GameTrace, vS: int, r: int | None, s: int, snap_b,
     pool = audit.multisets[s] = (vS,)
     # joiners[j] lists targets joining at label j.  Labels fall, so a target
     # is first seen in its last round before s and joins there, or earlier
-    # when dM reached k earlier.
+    # when dM reached k earlier.  join[v] is 0 for a vertex in no pool.
     joiners: dict[int, list[int]] = {}
-    seen = [False] * params.n
-    seen[vS] = True
+    join = [0] * params.n
+    join[vS] = s
     for j in range(s - 1, 0, -1):
         round_targets = targets.get(j, [])
         if len(round_targets) < params.a or None in round_targets:
@@ -259,45 +259,30 @@ def _rebuild(trace: GameTrace, vS: int, r: int | None, s: int, snap_b,
                 f"round {j} lacks recorded targets; audit needs the "
                 f"min-degree strategy's target log")
         for t in round_targets:
-            if not seen[t]:
-                seen[t] = True
-                joiners.setdefault(min(j, reach[t]), []).append(t)
+            if not join[t]:
+                join[t] = min(j, reach[t])
+                joiners.setdefault(join[t], []).append(t)
         if j in joiners:
             pool = tuple(sorted([*pool, *joiners.pop(j)]))
         audit.multisets[j] = pool
-    audit.g_values = compute_g(audit, breaker_edges)
+    audit.g_values = compute_g(s, join, breaker_edges)
     for i in range(0, s):
         audit.avg_b[i] = avg_danger(audit, i, "B")
         audit.avg_m[i] = avg_danger(audit, i, "M")
     return audit
 
 
-def compute_g(audit: PotentialAudit,
+def compute_g(s: int, join: list[int],
               breaker_edges: list[tuple[int, int, int]]) -> dict[int, int]:
-    """g for every round label: the Breaker edges claimed strictly before
-    Breaker's move of round j with both endpoints in the support of the
-    multiset with label j.  ``breaker_edges`` holds (round, u, w).
+    """g for every round label 1..s: the Breaker edges claimed strictly
+    before Breaker's move of round j with both endpoints in the support of
+    the multiset with label j.  ``breaker_edges`` holds (round, u, w).
 
     Supports only gain vertices as the label falls, so v lies in the support
-    of label j exactly when j <= join(v), the largest label holding v, and
-    an edge of round rnd counts for labels rnd+1 .. min(join(u), join(w)):
+    of label j exactly when j <= join[v], the largest label holding v, and
+    an edge of round rnd counts for labels rnd+1 .. min(join[u], join[w]):
     one difference array and its prefix sums give every count.
     """
-    s = audit.s
-    join = [0] * audit.trace.params.n
-    later: tuple[int, ...] = ()
-    for j in range(s, 0, -1):
-        support = audit.multisets[j]
-        if support is later:
-            continue
-        joined = set(support).difference(later)
-        if len(joined) != len(support) - len(later):
-            raise InvalidParams(
-                f"multiset {j} does not contain multiset {j + 1}; "
-                f"g cannot be counted")
-        for v in joined:
-            join[v] = j
-        later = support
     diff = [0] * (s + 2)
     for rnd, u, w in breaker_edges:
         last = join[u]

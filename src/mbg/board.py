@@ -308,12 +308,6 @@ class Board:
             for w in bits(self.free_row(u) >> (u + 1) << (u + 1)):
                 yield u, w
 
-    def snapshot(self) -> bytes:
-        """Opaque fingerprint of the claim state (for equality checks)."""
-        size = (self.n + 7) // 8
-        return b"".join(row.to_bytes(size, "little")
-                        for row in self.maker + self.breaker)
-
 
 def new_board(n: int) -> Board:
     return Board(n)

@@ -20,27 +20,13 @@ from .errors import BoxesExhausted, InvalidParams, StrategyInfeasible
 from .maker_strategies import GameStrategy
 
 
-def _filled(board: Board, plan: list[Edge], size: int) -> list[Edge]:
-    """``plan`` extended in place, up to ``size`` edges, with the lowest
-    free edges not in it; it stays shorter only once no free edge is left.
-
-    A Breaker move is min(b, free edges) free edges, so every plan that can
-    come up short is finished here.
-    """
-    if len(plan) < size:
-        used = set(plan)
-        plan.extend(islice((e for e in board.free_edges() if e not in used),
-                           size - len(plan)))
-    return plan
-
-
 class IsolateBreaker(GameStrategy):
     """Bury one vertex on the opening move.
 
-    The first move locks onto the lowest Maker-untouched vertex and claims
-    its lowest foreclosure_limit() + 1 free edges, which leave it unable to
-    ever reach the threshold degree; the rest of that move, and every later
-    move, is the lowest free edges.
+    The first move's plan locks onto the lowest Maker-untouched vertex and
+    claims its lowest foreclosure_limit() + 1 free edges, which leave it
+    unable to ever reach the threshold degree; every later plan is empty,
+    so the engine makes those moves of the lowest free edges.
     """
 
     def __init__(self, params: GameParams):
@@ -52,13 +38,11 @@ class IsolateBreaker(GameStrategy):
         self.target: int | None = None
 
     def step(self, board: Board, rng) -> list[Edge]:
-        plan: list[Edge] = []
-        if self.target is None:
-            self.target = next(
-                (v for v in range(board.n) if board.dM[v] == 0), 0)
-            quota = self.params.foreclosure_limit() + 1
-            plan = board.free_incident_edges(self.target)[:quota]
-        return _filled(board, plan, self.params.b)
+        if self.target is not None:
+            return []
+        self.target = next((v for v in range(board.n) if board.dM[v] == 0), 0)
+        quota = self.params.foreclosure_limit() + 1
+        return board.free_incident_edges(self.target)[:quota]
 
 
 def clique_size_target(n: int, a: int) -> int:
@@ -209,13 +193,13 @@ def box_playing_move(board: Board, params: GameParams,
 class CliqueBoxBreaker(GameStrategy):
     """Clique growth followed by box play.
 
-    Each ``step`` plans the whole move and returns it as one list, which
-    the board claims in one call; a plan shorter than the bias, such as the
-    move that empties a box, is filled with the lowest free edges.  If the
-    plan ever becomes impossible (untouched vertices run out, a move exceeds
-    the bias, every box is destroyed) the strategy records why, flags the
-    game, and leaves the rest of the game to uniform random play (``step``
-    returns None).
+    Each ``step`` returns the move's plan as one list, which the board
+    claims in one call; the engine completes a plan shorter than the bias,
+    such as the move that empties a box or any move after that (the plan is
+    empty once the stage is ``done``).  If the plan ever becomes impossible
+    (untouched vertices run out, a move exceeds the bias, every box is
+    destroyed) the strategy records why, flags the game, and leaves the
+    rest of the game to uniform random play (``step`` returns None).
     """
 
     def __init__(self, params: GameParams):
@@ -238,18 +222,15 @@ class CliqueBoxBreaker(GameStrategy):
 
     def step(self, board: Board, rng) -> list[Edge] | None:
         state = self.state
-        plan: list[Edge] = []
         try:
             if state.stage == "clique":
-                plan = clique_building_move(board, self.params, state)
-            elif state.stage == "box":
-                plan = box_playing_move(board, self.params, state)
+                return clique_building_move(board, self.params, state)
+            if state.stage == "box":
+                return box_playing_move(board, self.params, state)
         except (StrategyInfeasible, BoxesExhausted) as exc:
             state.stage = "fallback"
             self.infeasible_reason = str(exc)
-        if state.stage == "fallback":
-            return None
-        return _filled(board, plan, self.params.b)
+        return None if state.stage == "fallback" else []
 
 
 class RandomBreaker(GameStrategy):

@@ -3,8 +3,9 @@
 Moves follow ``move_order``: each round is one Breaker move (b edge claims)
 followed by one Maker move (a edge claims).  Maker hands the engine one edge
 per step and the board is updated between steps, so Maker always sees the
-live position.  Breaker hands over its whole move as one list, which the
-board claims in one call (``Board.claim_many``).  Either side may leave its
+live position.  Breaker hands over its plan for the move as one list, which
+the board claims in one call (``Board.claim_many``); the engine completes a
+short plan with the lowest free edges.  Either side may leave its
 move to uniform random play instead; the board then draws and claims those
 edges itself (``Board.claim_random``).  The engine stops a game the moment
 its outcome is certain.  Its trace is the board's own claim log, the pool
@@ -82,7 +83,7 @@ class GameTrace:
     claim index.  A claim's round, step and player follow from its index
     through ``move_order``, since only a game's last move can be short, and
     its edge from its slot through ``slot_edges``.  The slots are trusted:
-    play, ``trace_from_json`` and ``from_moves`` make only legal ones.
+    play and ``trace_from_json`` make only legal ones.
     """
 
     params: GameParams
@@ -95,32 +96,6 @@ class GameTrace:
     def __post_init__(self) -> None:
         if type(self.seed) is not int:
             raise InvalidParams(f"seed must be an int, got {self.seed!r}")
-
-    @classmethod
-    def from_moves(cls, params: GameParams, seed: int,
-                   records) -> "GameTrace":
-        """The trace whose claims are ``records``, in ``move_order``.
-
-        Claims them on a board, so an edge claimed twice raises
-        EdgeAlreadyClaimed and a pair that is not 0 <= u < v < n raises
-        InvalidParams; so does a record whose round, step and player are
-        not those of the next claim in ``move_order``.
-        """
-        board, targets = Board(params.n), {}
-        order = ((rnd, step, player)
-                 for rnd, player, bias in move_order(params.a, params.b)
-                 for step in range(1, bias + 1))
-        for index, (record, expected) in enumerate(zip(records, order)):
-            rnd, step, player, edge, target = record
-            if (rnd, step, player) != expected:
-                raise InvalidParams(
-                    f"record {index} is claim {step} of {player.value} in "
-                    f"round {rnd}; move_order has claim {expected[1]} of "
-                    f"{expected[2].value} in round {expected[0]}")
-            board.claim(player, edge)
-            if target is not None:
-                targets[index] = target
-        return cls(params, seed, board.claimed_slots(), targets)
 
     @property
     def moves(self) -> list[MoveRecord]:
@@ -207,15 +182,17 @@ def play_game(params: GameParams, maker, breaker, seed: int,
     exposing ``step(board, rng)``.  Maker's step is called once per claim
     and returns ``(edge, target)``, or None for one uniformly random claim
     drawn from the game's ``rng``.  Breaker's step is called once per move
-    and returns the whole move, a list of exactly min(b, free edges) free
-    edges that one ``Board.claim_many`` call claims in order; or None for a
-    uniformly random move, made by one ``Board.claim_random`` call.  Both
-    calls stop after a foreclosing claim.  Each claimed edge is one step of
-    the trace, and only Maker's planned claims carry a target.  A taken
-    edge, a Breaker tuple, a Breaker list of another length or a Maker list
-    raises StrategyViolation; a seed that is not an int raises
-    InvalidParams.  The outcome is deterministic in (params, strategies,
-    seed).
+    and returns its plan, a list of at most min(b, free edges) distinct
+    free edges that one ``Board.claim_many`` call claims in order; the
+    engine completes a short plan with the lowest free edges, in a second
+    call, unless the plan's last claim decided the game.  Or it returns
+    None for a uniformly random move, made by one ``Board.claim_random``
+    call.  Every call stops after a foreclosing claim.  Each claimed edge
+    is one step of the trace, and only Maker's planned claims carry a
+    target.  A taken edge, a Breaker tuple, a Breaker list longer than the
+    move or a Maker list raises StrategyViolation; a seed that is not an
+    int raises InvalidParams.  The outcome is deterministic in (params,
+    strategies, seed).
 
     A Maker win is tested with ``detect_maker_win`` after each Maker claim,
     so it is seen at the claim that makes it; a Breaker win the moment some
@@ -287,20 +264,26 @@ def _play(params: GameParams, board: Board, targets: dict[int, int], maker,
                     if early_stop and detect_maker_win(board, goal, k):
                         return Player.MAKER, round_no, REASON_GOAL_ACHIEVED
                 continue
-            # Breaker's whole move is one board call, which stops after a
-            # foreclosing claim.
+            # Breaker's move is its plan, completed with the lowest free
+            # edges unless the plan's last claim decided the game; each
+            # board call stops after a foreclosing claim.
             move = breaker.step(board, rng)
             if move is None:
                 edges = board.claim_random(player, rng, bias, run_limit)
             else:
                 size = min(bias, board.free_count)
-                if type(move) is not list or len(move) != size:
+                if type(move) is not list or len(move) > size:
                     shape = (f"{len(move)} edges" if type(move) is list
                              else type(move).__name__)
                     raise StrategyViolation(
-                        f"a Breaker step returns {size} free edges in a list "
-                        f"or None, got {shape}")
+                        f"a Breaker step returns at most {size} free edges "
+                        f"in a list or None, got {shape}")
                 edges = board.claim_many(player, move, run_limit)
+                if len(edges) < size and not (
+                        edges and max(dB[w] for w in edges[-1]) > run_limit):
+                    rest = list(itertools.islice(board.free_edges(),
+                                                 size - len(edges)))
+                    edges = board.claim_many(player, rest, run_limit)
             u, v = edges[-1]
             if early_stop and (dB[u] > limit or dB[v] > limit):
                 return Player.BREAKER, round_no, REASON_GOAL_IMPOSSIBLE
@@ -368,9 +351,9 @@ def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
     reason strings, the flags a list of strings), a row is not a list of two
     vertices and an optional target, all ints (a bool or a float is not
     one), a row's vertices are not ``0 <= u < v < n`` (the order the board
-    stores), a target is not one of its row's two vertices, or a row
-    repeats the edge of an earlier row; a row failing several of these is
-    reported by the first.
+    stores), a target is not one of its row's two vertices, a target is on
+    a Breaker claim, or a row repeats the edge of an earlier row; a row
+    failing several of these is reported by the first.
     """
     try:
         doc = json.loads(text)
@@ -405,6 +388,9 @@ def trace_from_json(text: str) -> tuple[GameTrace, GameOutcome | None]:
                 if target != u and target != v:
                     raise TraceIncompatible(
                         f"move {index} targets {target}, not an endpoint")
+                if index % (params.a + params.b) < params.b:
+                    raise TraceIncompatible(
+                        f"move {index} is a Breaker claim with a target")
                 targets[index] = target
             slot = shifts[u] + v
             if claimed[slot]:

@@ -2,7 +2,8 @@
 
 Everything here favors obvious correctness over speed: plain backtracking,
 exhaustive subset enumeration, dict-of-sets adjacency.  Keep inputs tiny.
-The small fixture graphs the oracle tests share live here too.
+The small fixture graphs the oracle tests share live here too, and so does
+the builder of a trace from hand-written records.
 """
 
 from fractions import Fraction
@@ -10,7 +11,7 @@ from itertools import combinations
 
 from mbg.audit import DegreeSnapshot, PotentialAudit, default_split_point
 from mbg.board import Board, Player
-from mbg.engine import GameTrace, replay_trace
+from mbg.engine import GameTrace, move_order, replay_trace
 from mbg.errors import (BoxesExhausted, InvalidParams, NoFreeEdge,
                         NotConnected, TraceIncompatible)
 from mbg.oracles import (BoosterSet, SimpleGraph, is_connected,
@@ -188,6 +189,35 @@ def random_graph_edges(rng, n, p):
             if rng.random() < p]
 
 
+def trace_from_records(params, seed, records):
+    """The trace whose claims are ``records``, in ``move_order``.
+
+    Claims them on a board, so an edge claimed twice raises
+    EdgeAlreadyClaimed and a pair that is not 0 <= u < v < n raises
+    InvalidParams; so does a record whose round, step and player are not
+    those of the next claim in ``move_order``, and a Breaker record with a
+    target.
+    """
+    board, targets = Board(params.n), {}
+    order = ((rnd, step, player)
+             for rnd, player, bias in move_order(params.a, params.b)
+             for step in range(1, bias + 1))
+    for index, (record, expected) in enumerate(zip(records, order)):
+        rnd, step, player, edge, target = record
+        if (rnd, step, player) != expected:
+            raise InvalidParams(
+                f"record {index} is claim {step} of {player.value} in "
+                f"round {rnd}; move_order has claim {expected[1]} of "
+                f"{expected[2].value} in round {expected[0]}")
+        if target is not None and player is Player.BREAKER:
+            raise InvalidParams(
+                f"record {index} is a Breaker claim with a target")
+        board.claim(player, edge)
+        if target is not None:
+            targets[index] = target
+    return GameTrace(params, seed, board.claimed_slots(), targets)
+
+
 def compute_g(audit, round_label):
     """g for one round label by rescanning the trace: Breaker edges claimed
     before that round with both endpoints in the label's pool."""
@@ -230,8 +260,8 @@ def audit(trace, s, vS, r=None):
 
     def position(stop):
         """Degrees after the moves before index ``stop``."""
-        board = replay_trace(GameTrace.from_moves(params, trace.seed,
-                                                  trace.moves[:stop]))
+        board = replay_trace(trace_from_records(params, trace.seed,
+                                                trace.moves[:stop]))
         return DegreeSnapshot(tuple(board.dM), tuple(board.dB))
 
     moves = trace.moves

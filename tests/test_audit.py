@@ -19,8 +19,7 @@ from mbg.audit import (HARMONIC_GUARD, DegreeSnapshot, audit_game,
                        harmonic, harmonic_bounds_ok, harmonic_bounds_sweep,
                        losing_round_bound_ok, reconstruct_multisets)
 from mbg.board import GameParams, Player
-from mbg.engine import (GameTrace, MoveRecord, play_game, replay_trace,
-                        write_trace)
+from mbg.engine import MoveRecord, play_game, replay_trace, write_trace
 from mbg.errors import (EdgeAlreadyClaimed, InvalidParams, MBGError,
                         TraceIncompatible)
 from mbg.harness import main
@@ -49,7 +48,7 @@ def scripted_trace(n, a, b, k, rounds):
             moves.append(MoveRecord(rno, step, Player.BREAKER, edge))
         for step, (edge, target) in enumerate(maker_claims, start=1):
             moves.append(MoveRecord(rno, step, Player.MAKER, edge, target))
-    return GameTrace.from_moves(params, 0, moves)
+    return _naive.trace_from_records(params, 0, moves)
 
 
 class TestHarmonic:
@@ -335,8 +334,8 @@ class TestSinglePass:
         assert (audit.s, audit.vS) == point
         first_maker = next(i for i, mv in enumerate(trace.moves)
                            if mv.round == s and mv.player is Player.MAKER)
-        board = replay_trace(GameTrace.from_moves(trace.params, trace.seed,
-                                                  trace.moves[:first_maker]))
+        board = replay_trace(_naive.trace_from_records(
+            trace.params, trace.seed, trace.moves[:first_maker]))
         assert audit.snap_m[s] == DegreeSnapshot(tuple(board.dM),
                                                  tuple(board.dB))
 
@@ -379,6 +378,13 @@ class TestReplayLegality:
     def test_records_out_of_move_order_are_invalid(self, rounds):
         with pytest.raises(InvalidParams, match="move_order has claim"):
             scripted_trace(n=5, a=1, b=1, k=1, rounds=rounds)
+
+    def test_a_target_on_a_breaker_record_is_invalid(self):
+        params = GameParams(n=5)
+        records = [MoveRecord(1, 1, Player.BREAKER, (0, 1), target=0)]
+        with pytest.raises(InvalidParams,
+                           match="record 0 is a Breaker claim with a target"):
+            _naive.trace_from_records(params, 0, records)
 
 
 def outcome_of(run):

@@ -7,7 +7,8 @@ from mbg.breaker_strategies import (CliquePlanState, CliqueBoxBreaker,
                                     IsolateBreaker, RandomBreaker,
                                     box_playing_move, clique_building_move,
                                     clique_size_target, make_breaker)
-from mbg.engine import REASON_GOAL_IMPOSSIBLE, play_game
+from mbg.engine import (REASON_BOARD_EXHAUSTED, REASON_GOAL_IMPOSSIBLE,
+                        play_game)
 from mbg.errors import BoxesExhausted, InvalidParams, StrategyInfeasible
 from mbg.maker_strategies import MinDegMaker, make_maker
 
@@ -21,18 +22,39 @@ class TestIsolate:
         assert breaker.target == 0
         assert move == [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
         board.claim_many(Player.BREAKER, move, 6)
-        # the target is buried; later moves are the lowest free edges
-        assert breaker.step(board, random.Random(0)) == [
-            (1, 2), (1, 3), (1, 4), (1, 5), (2, 4)]
+        # the target is buried; later plans are empty, and the engine
+        # makes those moves of the lowest free edges
+        assert breaker.step(board, random.Random(0)) == []
 
-    def test_saturated_target_falls_back_to_filler(self):
+    def test_saturated_target_gives_an_empty_plan(self):
         board = Board(4)
         for w in (1, 2, 3):
             board.claim(Player.MAKER, (0, w))
         breaker = IsolateBreaker(GameParams(n=4, b=3))
         move = breaker.step(board, random.Random(0))
         assert breaker.target == 0
-        assert move == [(1, 2), (1, 3), (2, 3)]
+        assert move == []
+
+    def test_a_game_after_the_burial_is_played_with_the_lowest_free_edges(
+            self):
+        # the opening plan buries vertex 0 under all 7 of its edges; played
+        # on, the engine completes that move and makes every later one of
+        # the lowest free edges
+        params = GameParams(n=8, b=9)
+        outcome, trace = play_game(params, MinDegMaker(params),
+                                   IsolateBreaker(params), seed=0,
+                                   early_stop=False)
+        assert outcome.reason == REASON_BOARD_EXHAUSTED
+        board = Board(8)
+        for _, player, first, end in trace.move_spans():
+            edges = [mv.edge for mv in trace.moves[first:end]]
+            if player is Player.BREAKER:
+                expected = (board.free_incident_edges(0)[:7]
+                            if first == 0 else [])
+                lowest = [e for e in board.free_edges() if e not in expected]
+                assert edges == expected + lowest[:end - first
+                                                  - len(expected)]
+            board.claim_many(player, edges, 8)
 
     @pytest.mark.parametrize("b, ok", [(8, False), (9, True)])
     def test_feasibility_is_checked_up_front(self, b, ok):
@@ -45,7 +67,7 @@ class TestIsolate:
 
     def test_quota_follows_the_goal_not_raw_k(self):
         # connectivity plays like degree one, so n - 1 edges are needed:
-        # the whole move buries vertex 0, with no filler
+        # the whole plan buries vertex 0
         params = GameParams(n=10, b=9, k=3, goal="connectivity")
         move = IsolateBreaker(params).step(Board(10), random.Random(0))
         assert move == [(0, w) for w in range(1, 10)]
@@ -225,7 +247,8 @@ class TestCliqueBoxBreaker:
         assert outcome.decisive_round == 8
 
     def test_each_step_is_a_whole_move_of_free_edges(self):
-        # planning and claiming are one call, so a move is b free edges
+        # clique plans are padded with spares away from the clique, and box
+        # plans spend the whole budget until a box is emptied
         params = GameParams(n=20, a=1, b=6)
         breaker = CliqueBoxBreaker(params)
         board, rng = Board(20), random.Random(0)
@@ -239,17 +262,17 @@ class TestCliqueBoxBreaker:
             stages.append(breaker.state.stage)
         assert stages == ["clique", "clique", "box", "box"]
 
-    def test_a_short_box_move_is_filled_with_the_lowest_free_edges(self):
+    def test_the_box_winning_plan_is_short_and_later_plans_are_empty(self):
         breaker = CliqueBoxBreaker(GameParams(n=20, a=1, b=3))
         breaker.state = CliquePlanState(h=2, stage="box", clique=[4],
                                         boxes={4: _box(7)})
         board, rng = Board(20), random.Random(0)
         move = breaker.step(board, rng)
-        assert move == [(4, 7), (0, 1), (0, 2)]
+        assert move == [(4, 7)]
         assert breaker.state.stage == "done"
         board.claim_many(Player.BREAKER, move, 20)
-        # past the box game, every move is the lowest free edges
-        assert breaker.step(board, rng) == [(0, 3), (0, 4), (0, 5)]
+        # past the box game the engine makes every move of free edges
+        assert breaker.step(board, rng) == []
 
 
 def test_random_breaker_is_seed_deterministic():

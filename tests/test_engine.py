@@ -133,8 +133,8 @@ class TestPlayGame:
         assert outcome.reason == REASON_GOAL_IMPOSSIBLE
         last = trace.moves[-1]
         assert last.player is Player.BREAKER and last.step <= params.b
-        before = replay_trace(GameTrace.from_moves(params, seed,
-                                                   trace.moves[:-1]))
+        before = replay_trace(_naive.trace_from_records(params, seed,
+                                                        trace.moves[:-1]))
         limit = params.foreclosure_limit()
         assert max(before.dB) <= limit
         assert max(before.dB[v] for v in last.edge) == limit
@@ -145,8 +145,8 @@ class TestPlayGame:
         outcome, trace = run(n=8, a=3, b=1, maker="random", seed=seed)
         assert outcome.reason == REASON_GOAL_ACHIEVED
         assert trace.moves[-1].player is Player.MAKER
-        before = replay_trace(GameTrace.from_moves(params, seed,
-                                                   trace.moves[:-1]))
+        before = replay_trace(_naive.trace_from_records(params, seed,
+                                                        trace.moves[:-1]))
         assert not detect_maker_win(before, "min-degree", 1)
 
     def test_connectivity_goal_plays_out(self):
@@ -181,11 +181,10 @@ class TestPlayGame:
             (1, 4, Player.BREAKER, (0, 3), None)]
 
     @pytest.mark.parametrize("maker_plans, plan, message", [
-        # one claim, not the whole move
-        (False, ((0, 1), None), "returns 2 free edges in a list or None"),
-        (False, [(0, 1)], "got 1 edges"),                  # short of b = 2
+        # one claim, not a list
+        (False, ((0, 1), None),
+         "returns at most 2 free edges in a list or None, got tuple"),
         (False, [(0, 1), (0, 2), (0, 3)], "got 3 edges"),  # past b = 2
-        (False, [], "got 0 edges"),                        # claims nothing
         (False, [(0, 1), (0, 1)], "non-free edge"),        # an edge twice
         (True, [(0, 1)], "Maker step returns"),            # one per step
     ])
@@ -201,6 +200,63 @@ class TestPlayGame:
         breaker = make_breaker("random", params) if maker_plans else Planner()
         with pytest.raises(StrategyViolation, match=message):
             play_game(params, maker, breaker, seed=0)
+
+    @pytest.mark.parametrize("plans", [[[(2, 3)], []], [[], [(1, 4)]]])
+    def test_a_short_plan_is_completed_with_the_lowest_free_edges(self,
+                                                                  plans):
+        class Planner:
+            """Plans its first two moves; every later move is random."""
+
+            infeasible_reason = None
+
+            def __init__(self):
+                self.plans = list(plans)
+
+            def step(self, board, rng):
+                if self.plans:
+                    plan = self.plans.pop(0)
+                    lowest = [e for e in board.free_edges() if e not in plan]
+                    expected.append(plan + lowest[:3 - len(plan)])
+                    return plan
+                return None
+
+        expected = []
+        params = GameParams(n=8, a=1, b=3)
+        _, trace = play_game(params, make_maker("min-deg", params),
+                             Planner(), seed=0)
+        moves = [[mv.edge for mv in trace.moves[first:end]]
+                 for _, player, first, end in trace.move_spans()
+                 if player is Player.BREAKER]
+        assert moves[:2] == expected
+
+    @pytest.mark.parametrize("breaker, b", [("clique-box", 60),
+                                            ("isolate", 25)])
+    def test_a_plan_that_decides_the_game_is_not_completed(self, monkeypatch,
+                                                           breaker, b):
+        # the box-winning move of clique-box, and isolate's opening with b
+        # above its quota, end the game at their plan's last claim: no free
+        # edge list is built for them
+        calls = []
+
+        class CountingBoard(Board):
+            __slots__ = ()
+
+            def free_edges(self):
+                calls.append(self.free_count)
+                return Board.free_edges(self)
+
+        monkeypatch.setattr(engine, "Board", CountingBoard)
+        n = 200 if breaker == "clique-box" else 20
+        params = GameParams(n=n, b=b)
+        strategy = make_breaker(breaker, params)
+        outcome, trace = play_game(params, make_maker("min-deg", params),
+                                   strategy, seed=0)
+        assert outcome.reason == REASON_GOAL_IMPOSSIBLE
+        assert calls == []
+        if breaker == "clique-box":
+            assert strategy.state.stage == "done"
+        else:
+            assert len(trace.slots) == params.foreclosure_limit() + 1 < b
 
     def test_a_move_past_the_free_edges_left_is_what_is_left(self):
         # with fewer free edges than b, a whole move is every free edge
@@ -257,7 +313,7 @@ class TestTrace:
             MoveRecord(2, 1, Player.BREAKER, (0, 2)),
             MoveRecord(2, 1, Player.MAKER, (1, 4), target=4),
         ]
-        trace = GameTrace.from_moves(GameParams(n=5), 0, records)
+        trace = _naive.trace_from_records(GameParams(n=5), 0, records)
         assert trace.maker_claims() == 2
         assert trace.rounds_played() == 2
         assert trace.targets == {1: 2, 3: 4}
@@ -395,12 +451,16 @@ class TestTrace:
         ('[[0, 1, 3]]', "move 0 targets 3, not an endpoint"),
         ('[[3, 1, 5]]', r"move 0 is \(3, 1\), not 0 <= u < v < 5"),
         ('[[0, 1], [0, 1, 3]]', "move 1 targets 3, not an endpoint"),
+        ('[[0, 1, 0]]', "move 0 is a Breaker claim with a target"),
+        ('[[0, 1], [2, 3, 2], [0, 1, 0]]',
+         "move 2 is a Breaker claim with a target"),
         ('[[0, 1], [2, 3], [0, 1]]',
          r"move 2 repeats the edge \(0, 1\) of move 0"),
     ])
     def test_row_checks_keep_their_precedence(self, rows, message):
         # a row's types are checked before its range, its range before
-        # its target, its target before a repeat of an earlier edge
+        # its target, its target before a repeat of an earlier edge; a
+        # target is checked against its row's endpoints, then its player
         with pytest.raises(TraceIncompatible, match=message):
             trace_from_json(rows_text(rows))
 
@@ -430,6 +490,17 @@ class TestTrace:
         doc["moves"][last][:2] = [999, 14]
         with pytest.raises(TraceIncompatible,
                            match=rf"move {last} is \(999, 14\)"):
+            trace_from_json(json.dumps(doc))
+
+    def test_a_target_on_a_breaker_row_is_rejected(self):
+        # row 0 is Breaker's first claim, (7, 11); a target on it is not
+        # read back
+        outcome, trace = run(n=20, b=7, k=3, seed=11)
+        doc = json.loads(trace_to_json(trace, outcome))
+        assert doc["moves"][0] == [7, 11]
+        doc["moves"][0] = [7, 11, 7]
+        with pytest.raises(TraceIncompatible,
+                           match="move 0 is a Breaker claim with a target"):
             trace_from_json(json.dumps(doc))
 
     def test_verify_rejects_a_repeated_edge_it_would_not_audit(self,

@@ -15,7 +15,8 @@ from mbg.board import Board, GameParams, Player
 from mbg.boxgame import (BoxPlayState, boxmaker_balancing_move,
                          canonical_instance, f_box, f_lower_bound)
 from mbg.breaker_strategies import make_breaker
-from mbg.engine import GameTrace, play_game, trace_from_json, trace_to_json
+from mbg.engine import (REASON_GOAL_IMPOSSIBLE, GameTrace, play_game,
+                        trace_from_json, trace_to_json)
 from mbg.errors import MBGError, NoFreeEdge
 from mbg.maker_strategies import make_maker
 from mbg.oracles import SimpleGraph, boosters, is_hamiltonian
@@ -70,7 +71,7 @@ def test_claim_random_matches_the_reference(n, seed, taken, maker, count,
     assert fast == slow
     assert rngs[0].getstate() == rngs[1].getstate()
     ours, ref = boards
-    assert ours.snapshot() == ref.snapshot()
+    assert ours.maker + ours.breaker == ref.maker + ref.breaker
     assert (ours.dM, ours.dB, ours.free_count) == (ref.dM, ref.dB,
                                                    ref.free_count)
     assert (ours._free, ours._free_pos) == (ref._free, ref._free_pos)
@@ -102,7 +103,7 @@ def test_claim_many_is_successive_claims_up_to_the_stop(n, seed, taken, maker,
         if degree[u] > limit or degree[v] > limit:
             break
     assert claimed == expected
-    assert ours.snapshot() == ref.snapshot()
+    assert ours.maker + ours.breaker == ref.maker + ref.breaker
     assert (ours.dM, ours.dB, ours.free_count) == (ref.dM, ref.dB,
                                                    ref.free_count)
     assert (ours._free, ours._free_pos) == (ref._free, ref._free_pos)
@@ -207,10 +208,10 @@ def test_early_stop_never_changes_the_winner(n, b, seed):
 @pytest.mark.parametrize("early_stop", [True, False])
 @pytest.mark.parametrize("breaker_name", ["isolate", "clique-box"])
 def test_breaker_steps_are_whole_moves(breaker_name, early_stop):
-    # Every planned Breaker move is exactly min(b, free edges) distinct free
-    # edges: the opening and filler moves of isolate, and clique-box's
-    # clique, box, box-winning and finished moves (the last two are short
-    # plans, filled).
+    # Every planned Breaker step is at most min(b, free edges) distinct
+    # free edges: isolate's opening and empty plans, and clique-box's
+    # clique, box, box-winning and finished ones.  Every claimed Breaker
+    # move is exactly min(b, free edges) claims unless it ended the game.
     stages = set()
     for n, a, k, maker_name, seed in itertools.product(
             (12, 20, 40), (1, 2), (1, 2), ("min-deg", "random"), range(3)):
@@ -221,18 +222,38 @@ def test_breaker_steps_are_whole_moves(breaker_name, early_stop):
             except MBGError:
                 continue
             planner = breaker.step
+            maker = make_maker(maker_name, params)
+            maker_step = maker.step
+            # (player, claims before the step) of every step
+            steps = []
 
             def step(board, rng):
-                size = min(b, board.free_count)
+                steps.append((Player.BREAKER, board.m - board.free_count))
                 move = planner(board, rng)
                 if move is not None:
-                    assert len(move) == len(set(move)) == size
+                    assert len(move) == len(set(move))
+                    assert len(move) <= min(b, board.free_count)
                     assert all(board.is_free(e) for e in move)
                 return move
 
-            breaker.step = step
-            play_game(params, make_maker(maker_name, params), breaker, seed,
-                      early_stop=early_stop)
+            def step_maker(board, rng):
+                steps.append((Player.MAKER, board.m - board.free_count))
+                return maker_step(board, rng)
+
+            breaker.step, maker.step = step, step_maker
+            outcome, trace = play_game(params, maker, breaker, seed,
+                                       early_stop=early_stop)
+            claims, m = len(trace.slots), params.edge_total
+            for index, (player, first) in enumerate(steps):
+                if player is Player.MAKER:
+                    continue
+                end = steps[index + 1][1] if index + 1 < len(steps) else claims
+                size = min(b, m - first)
+                if end - first != size:
+                    # only the last move is short, and only by foreclosing
+                    assert end - first < size and index == len(steps) - 1
+                    assert early_stop
+                    assert outcome.reason == REASON_GOAL_IMPOSSIBLE
             stages.add(getattr(getattr(breaker, "state", None), "stage", None))
     if breaker_name == "clique-box":
         assert {"done", "fallback"} <= stages
@@ -362,7 +383,7 @@ def test_audit_of_random_targets_matches_the_reference(a, k, seed,
                          make_breaker("random", params), seed=seed,
                          early_stop=early_stop)
     rng = random.Random(seed)
-    trace = GameTrace.from_moves(
+    trace = _naive.trace_from_records(
         params, seed, [mv if mv.player is Player.BREAKER
                        else mv._replace(target=rng.choice(mv.edge))
                        for mv in trace.moves])
